@@ -22,13 +22,18 @@ class _UsageError(Exception):
 
 
 def _set_threads(argv):
-    if "--threads" in argv:
-        idx = argv.index("--threads")
-        if idx + 1 < len(argv):
-            n = argv[idx + 1]
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                        "NUMEXPR_NUM_THREADS"):
-                os.environ[var] = n
+    """Pin the BLAS thread count from --threads N or --threads=N; like
+    argparse, the last occurrence wins."""
+    n = None
+    for i, arg in enumerate(argv):
+        if arg == "--threads" and i + 1 < len(argv):
+            n = argv[i + 1]
+        elif arg.startswith("--threads="):
+            n = arg.partition("=")[2]
+    if n is not None:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            os.environ[var] = n
 
 
 def _build_parser():

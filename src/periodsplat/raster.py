@@ -9,11 +9,17 @@ depth-sorted globally, and alpha-composited front to back:
 
 Terms with ahat < 1/255 are skipped and accumulation stops once the
 transmittance falls below 1e-4; both shortcuts can be disabled through
-RenderOptions for oracle comparisons. The RenderGraph retains everything the
-backward pass needs; render_backward replays the composite in reverse order
-and chains gradients through the projection, the decoder, and the feature
-fusion down to every learnable tensor. Capped and skipped terms receive
-exactly zero gradient, as do inactive slots.
+RenderOptions for oracle comparisons. A skipped or stopped term has its ahat
+set to exactly 0, so it composites as a no-op (weight 0, factor 1.0) without
+a mask of its own. Compositing walks the splats one footprint at a time and
+keeps no per-splat state: the RenderGraph holds only the final
+transmittance and the per-pixel stop index, and the backward pass recomputes
+each splat's alpha. render_backward replays the composite in reverse order,
+carrying the scalar field g . suffix (image gradient dotted with the colour
+composited behind the current term) and dividing the transmittance back in
+place, and chains gradients through the projection, the decoder, and the
+feature fusion down to every learnable tensor. Capped, skipped and stopped
+terms receive exactly zero gradient, as do inactive slots.
 """
 
 from __future__ import annotations
@@ -41,9 +47,8 @@ TAIL_EPS = 1e-8
 class RenderOptions:
     """Rasterizer switches; defaults match the production path."""
 
-    def __init__(self, use_thresholds=True, deterministic=True):
+    def __init__(self, use_thresholds=True):
         self.use_thresholds = use_thresholds
-        self.deterministic = deterministic
 
 
 DEFAULT_OPTIONS = RenderOptions()
@@ -130,43 +135,64 @@ def _empty_splats():
     )
 
 
-def _splat_alpha(splats, n, xs_half, ys_half):
-    """Recompute one splat's (ahat, uncapped alpha*G, G) over its bbox."""
-    x0, x1, y0, y1 = splats.bbox[n]
-    dx = xs_half[x0:x1 + 1] - splats.mean2d[n, 0]
-    dy = ys_half[y0:y1 + 1] - splats.mean2d[n, 1]
-    A, B, C = splats.conic[n]
-    power = -0.5 * (A * dx[None, :] ** 2 + C * dy[:, None] ** 2) - B * dy[:, None] * dx[None, :]
-    G = np.exp(power)
-    alpha_full = splats.opacity[n] * G
-    return np.minimum(alpha_full, ALPHA_CAP), alpha_full, G, dx, dy
+def _splat_alpha(box, par, xs_half, ys_half, use_thresholds, stopped=None):
+    """One splat's (ahat, uncapped alpha, dx, dy) over its bbox.
+
+    box is (x0, x1, y0, y1) and par is (mx, my, A, B, C, opacity), both as
+    Python scalars. ahat = min(alpha, ALPHA_CAP), set to exactly 0 where the
+    term is skipped or stopped (the boolean mask stopped, if given), so that
+    it composites as a no-op: weight 0, factor 1.0.
+    """
+    x0, x1, y0, y1 = box
+    mx, my, A, B, C, opacity = par
+    dx = xs_half[x0:x1 + 1] - mx
+    dy = ys_half[y0:y1 + 1] - my
+    # -0.5 (A dx^2 + C dy^2) - B dy dx, rounded exactly like the direct form
+    # (scaling by -0.5 is exact).
+    power = ((-0.5 * A) * (dx * dx) + ((-0.5 * C) * (dy * dy))[:, None]
+             - (B * dy)[:, None] * dx)
+    alpha = opacity * np.exp(power)
+    ahat = np.minimum(alpha, ALPHA_CAP)
+    if use_thresholds:
+        np.putmask(ahat, alpha < ALPHA_SKIP, 0.0)
+    if stopped is not None:
+        np.putmask(ahat, stopped, 0.0)
+    return ahat, alpha, dx, dy
+
+
+def _splat_params(splats):
+    """(M, 6) rows (mx, my, A, B, C, opacity); the compositing loops read
+    one row at a time, as Python floats."""
+    return np.column_stack((splats.mean2d, splats.conic, splats.opacity))
 
 
 def _composite_forward(splats, camera, background, options):
     H, W = camera.height, camera.width
     M = splats.mean2d.shape[0]
+    use_thresholds = options.use_thresholds
     acc = np.zeros((H, W, 3), dtype=np.float64)
     trans = np.ones((H, W), dtype=np.float64)
     stop = np.full((H, W), M, dtype=np.int64)
     xs_half = np.arange(W, dtype=np.float64) + 0.5
     ys_half = np.arange(H, dtype=np.float64) + 0.5
+    params = _splat_params(splats)
 
     for n in range(M):
-        x0, x1, y0, y1 = splats.bbox[n]
+        x0, x1, y0, y1 = box = splats.bbox[n].tolist()
         sl = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-        ahat, _, _, _, _ = _splat_alpha(splats, n, xs_half, ys_half)
         t_sub = trans[sl]
-        stop_sub = stop[sl]
-        if options.use_thresholds:
-            stop_sub[(stop_sub == M) & (t_sub < STOP_TRANSMITTANCE)] = n
-            mask = (stop_sub > n) & (ahat >= ALPHA_SKIP)
-        else:
-            mask = np.ones_like(ahat, dtype=bool)
-        if not mask.any():
-            continue
-        weight = np.where(mask, ahat * t_sub, 0.0)
-        acc[sl] += weight[:, :, None] * splats.color[n]
-        trans[sl] = np.where(mask, t_sub * (1.0 - ahat), t_sub)
+        stopped = None
+        # Stopped pixels keep their transmittance, which stays below the
+        # threshold, so the test below finds every pixel stopped so far.
+        if use_thresholds and t_sub.min() < STOP_TRANSMITTANCE:
+            stopped = t_sub < STOP_TRANSMITTANCE
+            np.minimum(stop[sl], n, out=stop[sl], where=stopped)
+        ahat, _, _, _ = _splat_alpha(box, params[n].tolist(), xs_half, ys_half,
+                                     use_thresholds, stopped)
+        weight = ahat * t_sub
+        acc_sub = acc[sl]
+        acc_sub += weight[:, :, None] * splats.color[n]
+        t_sub *= 1.0 - ahat
 
     image = acc + trans[:, :, None] * background
     return image, trans, stop
@@ -175,57 +201,56 @@ def _composite_forward(splats, camera, background, options):
 def _composite_backward(splats, camera, background, options, final_trans, stop, grad_image):
     H, W = camera.height, camera.width
     M = splats.mean2d.shape[0]
+    use_thresholds = options.use_thresholds
     xs_half = np.arange(W, dtype=np.float64) + 0.5
     ys_half = np.arange(H, dtype=np.float64) + 0.5
+    ones = np.ones(max(H, W))
+    params = _splat_params(splats)
+    first_stop = int(stop.min())  # terms before it are stopped at no pixel
 
     t_run = final_trans.copy()
-    suffix = final_trans[:, :, None] * np.asarray(background, dtype=np.float64)
+    # g . suffix, where suffix(u) is the colour composited behind the current
+    # term: the later terms plus the background.
+    g_suffix = final_trans * (grad_image @ np.asarray(background, dtype=np.float64))
     g_mean2d = np.zeros((M, 2), dtype=np.float64)
     g_cov = np.zeros((M, 3), dtype=np.float64)
     g_opacity = np.zeros(M, dtype=np.float64)
     g_color = np.zeros((M, 3), dtype=np.float64)
 
     for n in range(M - 1, -1, -1):
-        x0, x1, y0, y1 = splats.bbox[n]
+        x0, x1, y0, y1 = box = splats.bbox[n].tolist()
         sl = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-        ahat, alpha_full, G, dx, dy = _splat_alpha(splats, n, xs_half, ys_half)
-        if options.use_thresholds:
-            mask = (stop[sl] > n) & (ahat >= ALPHA_SKIP)
-        else:
-            mask = np.ones_like(ahat, dtype=bool)
-        if not mask.any():
-            continue
+        stopped = stop[sl] <= n if n >= first_stop else None
+        par = params[n].tolist()
+        ahat, alpha, dx, dy = _splat_alpha(box, par, xs_half, ys_half, use_thresholds, stopped)
 
         one_minus = 1.0 - ahat
         t_sub = t_run[sl]
-        t_before = np.where(mask, t_sub / one_minus, t_sub)
+        t_sub /= one_minus  # now the transmittance in front of term n
+        weight = ahat * t_sub
         gI = grad_image[sl]
-        weight = np.where(mask, ahat * t_before, 0.0)
-        g_color[n] = np.einsum("hw,hwc->c", weight, gI)
-
+        g_color[n] = weight.ravel() @ gI.reshape(-1, 3)
         g_dot_c = gI @ splats.color[n]
-        g_dot_s = np.einsum("hwc,hwc->hw", gI, suffix[sl])
-        g_ahat = np.where(mask, g_dot_c * t_before - g_dot_s / one_minus, 0.0)
-        # The cap is flat: capped terms get zero gradient.
-        g_alpha_full = np.where(alpha_full > ALPHA_CAP, 0.0, g_ahat)
-        g_opacity[n] = np.sum(g_alpha_full * G)
-        gP = g_alpha_full * alpha_full  # dG/dP = G and alpha_full = opacity * G
+        s_sub = g_suffix[sl]
+        g_ahat = g_dot_c * t_sub - s_sub / one_minus
+        s_sub += weight * g_dot_c
+        # dL/dpower = dL/dalpha * alpha. Skipped and stopped terms have
+        # ahat = 0, and capped ones get no gradient since the cap is flat.
+        gP = g_ahat * ahat
+        np.putmask(gP, alpha > ALPHA_CAP, 0.0)
 
-        A, B, C = splats.conic[n]
-        adx_bdy = A * dx[None, :] + B * dy[:, None]
-        bdx_cdy = B * dx[None, :] + C * dy[:, None]
-        g_mean2d[n, 0] = np.sum(gP * adx_bdy)
-        g_mean2d[n, 1] = np.sum(gP * bdx_cdy)
-        gA = np.sum(gP * (-0.5 * dx[None, :] ** 2))
-        gB = np.sum(gP * (-(dx[None, :] * dy[:, None])))
-        gC = np.sum(gP * (-0.5 * dy[:, None] ** 2))
+        # Moments m[a][b] = sum gP dy^a dx^b. The exponent is quadratic in
+        # (dx, dy), so these carry every opacity, mean and conic gradient.
+        m = (np.array((ones[:y1 - y0 + 1], dy, dy * dy)) @ gP
+             @ np.array((ones[:x1 - x0 + 1], dx, dx * dx)).T).tolist()
+        _, _, A, B, C, opacity = par
+        g_opacity[n] = m[0][0] / opacity  # dalpha/dopacity = G = alpha / opacity
+        g_mean2d[n] = (A * m[0][1] + B * m[1][0], B * m[0][1] + C * m[1][0])
+        gA, gB, gC = -0.5 * m[0][2], -m[1][1], -0.5 * m[2][0]
         # Conic is the inverse of the (dilated) covariance: dN = -N dM N.
-        g_cov[n, 0] = -(gA * A * A + gB * A * B + gC * B * B)
-        g_cov[n, 1] = -(2 * gA * A * B + gB * (A * C + B * B) + 2 * gC * B * C)
-        g_cov[n, 2] = -(gA * B * B + gB * B * C + gC * C * C)
-
-        suffix[sl] = np.where(mask[:, :, None], suffix[sl] + weight[:, :, None] * splats.color[n], suffix[sl])
-        t_run[sl] = t_before
+        g_cov[n] = (-(gA * A * A + gB * A * B + gC * B * B),
+                    -(2 * gA * A * B + gB * (A * C + B * B) + 2 * gC * B * C),
+                    -(gA * B * B + gB * B * C + gC * C * C))
 
     return g_mean2d, g_cov, g_opacity, g_color
 

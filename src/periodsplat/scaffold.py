@@ -42,7 +42,6 @@ class AccumStats:
     visible_count: np.ndarray  # (N, K) int
     opacity_sum: np.ndarray  # (N,) accumulated per-anchor max decoded opacity
     sample_count: np.ndarray  # (N,) int
-    feature_grad_sum: np.ndarray  # (N,) accumulated ||dL/df_base||
 
     @staticmethod
     def zeros(n, k):
@@ -51,7 +50,6 @@ class AccumStats:
             visible_count=np.zeros((n, k), dtype=np.int64),
             opacity_sum=np.zeros(n, dtype=np.float64),
             sample_count=np.zeros(n, dtype=np.int64),
-            feature_grad_sum=np.zeros(n, dtype=np.float64),
         )
 
 
@@ -179,8 +177,7 @@ def accumulate_stats(scaffold, graph, grads):
 
     Every rendered splat adds its 2D positional gradient norm to its
     (anchor, slot) cell and bumps the slot's visible count; every visible
-    anchor adds its strongest decoded opacity, one sample, and the norm of
-    its base-feature gradient.
+    anchor adds its strongest decoded opacity and one sample.
     """
     st = scaffold.stats
     if graph.splat_anchors.size:
@@ -191,7 +188,6 @@ def accumulate_stats(scaffold, graph, grads):
     if vis.size:
         st.opacity_sum[vis] += graph.max_opacity
         st.sample_count[vis] += 1
-        st.feature_grad_sum[vis] += np.linalg.norm(grads.f_base[vis], axis=1)
 
 
 def grow_anchors(scaffold, tau_g, min_visibility):
@@ -238,7 +234,6 @@ def grow_anchors(scaffold, tau_g, min_visibility):
     st.visible_count = np.concatenate([st.visible_count, np.zeros((m, scaffold.K), dtype=np.int64)], axis=0)
     st.opacity_sum = np.concatenate([st.opacity_sum, np.zeros(m)], axis=0)
     st.sample_count = np.concatenate([st.sample_count, np.zeros(m, dtype=np.int64)], axis=0)
-    st.feature_grad_sum = np.concatenate([st.feature_grad_sum, np.zeros(m)], axis=0)
     return m
 
 

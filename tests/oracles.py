@@ -142,3 +142,138 @@ def adam_oracle_trace(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-15):
         v_hat = v / (1 - beta2 ** t)
         p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
     return p
+
+
+def _reference_splat_alpha(splats, n, xs_half, ys_half):
+    """One splat's (ahat, uncapped alpha*G, G, dx, dy) over its bbox."""
+    x0, x1, y0, y1 = splats.bbox[n]
+    dx = xs_half[x0:x1 + 1] - splats.mean2d[n, 0]
+    dy = ys_half[y0:y1 + 1] - splats.mean2d[n, 1]
+    A, B, C = splats.conic[n]
+    power = -0.5 * (A * dx[None, :] ** 2 + C * dy[:, None] ** 2) - B * dy[:, None] * dx[None, :]
+    G = np.exp(power)
+    alpha_full = splats.opacity[n] * G
+    return np.minimum(alpha_full, ALPHA_CAP), alpha_full, G, dx, dy
+
+
+def reference_composite_forward(splats, H, W, background, use_thresholds):
+    """Footprint-by-footprint compositing with explicit masks: every term is
+    tested for skip and stop, and masked-out pixels keep their values through
+    np.where. Returns (image, final transmittance, stop index per pixel)."""
+    M = splats.mean2d.shape[0]
+    acc = np.zeros((H, W, 3), dtype=np.float64)
+    trans = np.ones((H, W), dtype=np.float64)
+    stop = np.full((H, W), M, dtype=np.int64)
+    xs_half = np.arange(W, dtype=np.float64) + 0.5
+    ys_half = np.arange(H, dtype=np.float64) + 0.5
+
+    for n in range(M):
+        x0, x1, y0, y1 = splats.bbox[n]
+        sl = (slice(y0, y1 + 1), slice(x0, x1 + 1))
+        ahat, _, _, _, _ = _reference_splat_alpha(splats, n, xs_half, ys_half)
+        t_sub = trans[sl]
+        stop_sub = stop[sl]
+        if use_thresholds:
+            stop_sub[(stop_sub == M) & (t_sub < STOP_T)] = n
+            mask = (stop_sub > n) & (ahat >= ALPHA_SKIP)
+        else:
+            mask = np.ones_like(ahat, dtype=bool)
+        if not mask.any():
+            continue
+        weight = np.where(mask, ahat * t_sub, 0.0)
+        acc[sl] += weight[:, :, None] * splats.color[n]
+        trans[sl] = np.where(mask, t_sub * (1.0 - ahat), t_sub)
+
+    image = acc + trans[:, :, None] * background
+    return image, trans, stop
+
+
+def reference_composite_backward(splats, H, W, background, use_thresholds, final_trans,
+                                 stop, grad_image):
+    """Adjoint of reference_composite_forward, walking the terms back to front
+    with the full (H, W, 3) colour suffix and per-entry sums for the mean and
+    conic gradients. Returns (g_mean2d, g_cov, g_opacity, g_color)."""
+    M = splats.mean2d.shape[0]
+    xs_half = np.arange(W, dtype=np.float64) + 0.5
+    ys_half = np.arange(H, dtype=np.float64) + 0.5
+
+    t_run = final_trans.copy()
+    suffix = final_trans[:, :, None] * np.asarray(background, dtype=np.float64)
+    g_mean2d = np.zeros((M, 2), dtype=np.float64)
+    g_cov = np.zeros((M, 3), dtype=np.float64)
+    g_opacity = np.zeros(M, dtype=np.float64)
+    g_color = np.zeros((M, 3), dtype=np.float64)
+
+    for n in range(M - 1, -1, -1):
+        x0, x1, y0, y1 = splats.bbox[n]
+        sl = (slice(y0, y1 + 1), slice(x0, x1 + 1))
+        ahat, alpha_full, G, dx, dy = _reference_splat_alpha(splats, n, xs_half, ys_half)
+        if use_thresholds:
+            mask = (stop[sl] > n) & (ahat >= ALPHA_SKIP)
+        else:
+            mask = np.ones_like(ahat, dtype=bool)
+        if not mask.any():
+            continue
+
+        one_minus = 1.0 - ahat
+        t_sub = t_run[sl]
+        t_before = np.where(mask, t_sub / one_minus, t_sub)
+        gI = grad_image[sl]
+        weight = np.where(mask, ahat * t_before, 0.0)
+        g_color[n] = np.einsum("hw,hwc->c", weight, gI)
+
+        g_dot_c = gI @ splats.color[n]
+        g_dot_s = np.einsum("hwc,hwc->hw", gI, suffix[sl])
+        g_ahat = np.where(mask, g_dot_c * t_before - g_dot_s / one_minus, 0.0)
+        # The cap is flat: capped terms get zero gradient.
+        g_alpha_full = np.where(alpha_full > ALPHA_CAP, 0.0, g_ahat)
+        g_opacity[n] = np.sum(g_alpha_full * G)
+        gP = g_alpha_full * alpha_full  # dG/dP = G and alpha_full = opacity * G
+
+        A, B, C = splats.conic[n]
+        adx_bdy = A * dx[None, :] + B * dy[:, None]
+        bdx_cdy = B * dx[None, :] + C * dy[:, None]
+        g_mean2d[n, 0] = np.sum(gP * adx_bdy)
+        g_mean2d[n, 1] = np.sum(gP * bdx_cdy)
+        gA = np.sum(gP * (-0.5 * dx[None, :] ** 2))
+        gB = np.sum(gP * (-(dx[None, :] * dy[:, None])))
+        gC = np.sum(gP * (-0.5 * dy[:, None] ** 2))
+        # Conic is the inverse of the (dilated) covariance: dN = -N dM N.
+        g_cov[n, 0] = -(gA * A * A + gB * A * B + gC * B * B)
+        g_cov[n, 1] = -(2 * gA * A * B + gB * (A * C + B * B) + 2 * gC * B * C)
+        g_cov[n, 2] = -(gA * B * B + gB * B * C + gC * C * C)
+
+        suffix[sl] = np.where(mask[:, :, None], suffix[sl] + weight[:, :, None] * splats.color[n],
+                              suffix[sl])
+        t_run[sl] = t_before
+
+    return g_mean2d, g_cov, g_opacity, g_color
+
+
+def per_pixel_transmittance(splats, H, W):
+    """Final transmittance and stop index of each pixel, walking the splats
+    whose bbox covers it one scalar term at a time: the stop index is the
+    first covering splat met once the transmittance is below STOP_T."""
+    M = splats.mean2d.shape[0]
+    trans = np.ones((H, W))
+    stop = np.full((H, W), M, dtype=np.int64)
+    for iy in range(H):
+        for ix in range(W):
+            t = 1.0
+            for n in range(M):
+                x0, x1, y0, y1 = splats.bbox[n]
+                if not (x0 <= ix <= x1 and y0 <= iy <= y1):
+                    continue
+                if t < STOP_T:
+                    stop[iy, ix] = n
+                    break
+                A, B, C = splats.conic[n]
+                dx = ix + 0.5 - splats.mean2d[n, 0]
+                dy = iy + 0.5 - splats.mean2d[n, 1]
+                g = np.exp(-0.5 * (A * dx * dx + C * dy * dy) - B * dx * dy)
+                ahat = min(splats.opacity[n] * g, ALPHA_CAP)
+                if ahat < ALPHA_SKIP:
+                    continue
+                t *= 1.0 - ahat
+            trans[iy, ix] = t
+    return trans, stop

@@ -227,3 +227,14 @@ def test_inspect_corrupted_exit_3(workspace, tmp_path):
     blob[50] ^= 0x55
     bad.write_bytes(bytes(blob))
     assert cli.main(["inspect", "--ckpt", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("argv", [["--threads", "3", "inspect", "--ckpt", "x"],
+                                  ["--threads=3", "inspect", "--ckpt", "x"]])
+def test_threads_flag_pins_blas_both_forms(argv, monkeypatch):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+    for var in names:
+        monkeypatch.setenv(var, "7")
+    cli._set_threads(argv)
+    assert [os.environ[var] for var in names] == ["3"] * 4

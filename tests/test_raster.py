@@ -9,7 +9,8 @@ from periodsplat.temporal import TimeEncoding, encode_time
 from types import SimpleNamespace
 
 from conftest import identity_camera, micro_scene
-from oracles import naive_composite_image
+from oracles import (naive_composite_image, per_pixel_transmittance,
+                     reference_composite_backward, reference_composite_forward)
 
 
 def make_cluster(raws, means, colors=None, scales=0.15, K=None):
@@ -39,6 +40,19 @@ def random_gaussians(rng, m, spread=0.5):
             opacity=rng.uniform(0.02, 1.0),
             color=rng.uniform(0, 1, size=3)))
     return out
+
+
+def project_gaussians(gaussians, cam, opts):
+    m = len(gaussians)
+    splats, _ = raster._project_and_cull(
+        cam,
+        np.stack([g.mean for g in gaussians]),
+        np.stack([geom.quat_normalize(g.rotation) for g in gaussians]),
+        np.stack([g.scale for g in gaussians]),
+        np.array([g.opacity for g in gaussians]),
+        np.stack([g.color for g in gaussians]),
+        np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64), opts)
+    return splats
 
 
 # ---------------------------------------------------------------------------
@@ -226,37 +240,12 @@ def test_transmittance_telescoping(rng):
     """Final transmittance equals the product of (1 - ahat) over composited
     terms, recomputed independently per pixel."""
     cam = identity_camera(width=8, height=8, fx=10.0, fy=10.0, z_offset=2.0)
-    gaussians = random_gaussians(rng, 12, spread=0.3)
     opts = raster.RenderOptions(True)
-    splats, _ = raster._project_and_cull(
-        cam,
-        np.stack([g.mean for g in gaussians]),
-        np.stack([geom.quat_normalize(g.rotation) for g in gaussians]),
-        np.stack([g.scale for g in gaussians]),
-        np.array([g.opacity for g in gaussians]),
-        np.stack([g.color for g in gaussians]),
-        np.arange(12, dtype=np.int64), np.zeros(12, dtype=np.int64), opts)
-    image, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), opts)
-    xs = np.arange(8) + 0.5
-    ys = np.arange(8) + 0.5
-    M = splats.mean2d.shape[0]
-    for iy in range(8):
-        for ix in range(8):
-            t_ref = 1.0
-            for n in range(M):
-                x0, x1, y0, y1 = splats.bbox[n]
-                if not (x0 <= ix <= x1 and y0 <= iy <= y1):
-                    continue
-                if n >= stop[iy, ix]:
-                    continue
-                A, B, C = splats.conic[n]
-                dx, dy = xs[ix] - splats.mean2d[n, 0], ys[iy] - splats.mean2d[n, 1]
-                ahat = min(splats.opacity[n] * np.exp(-0.5 * (A * dx * dx + C * dy * dy)
-                                                      - B * dx * dy), raster.ALPHA_CAP)
-                if ahat < raster.ALPHA_SKIP:
-                    continue
-                t_ref *= 1.0 - ahat
-            assert abs(trans[iy, ix] - t_ref) < 1e-12
+    splats = project_gaussians(random_gaussians(rng, 12, spread=0.3), cam, opts)
+    _, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), opts)
+    ref_trans, ref_stop = per_pixel_transmittance(splats, 8, 8)
+    np.testing.assert_array_equal(stop, ref_stop)
+    assert np.abs(trans - ref_trans).max() < 1e-12
 
 
 def test_order_permutation_invariance(rng):
@@ -267,6 +256,90 @@ def test_order_permutation_invariance(rng):
     img2 = raster.render_gaussians([gaussians[i] for i in perm], cam)
     # identical depths are impossible here, so sorting restores one order
     assert img1.tobytes() == img2.tobytes()
+
+
+@pytest.mark.parametrize("use_thresholds", [True, False])
+def test_composite_matches_reference_loops(rng, use_thresholds):
+    """The compositing passes against the reference loops on random scenes:
+    the forward bitwise, the backward to 1e-12 relative per array."""
+    cam = identity_camera(width=20, height=16, fx=18.0, fy=18.0, z_offset=2.0)
+    opts = raster.RenderOptions(use_thresholds)
+    stopped = 0
+    for trial in range(12):
+        gaussians = random_gaussians(rng, int(rng.integers(1, 60)))
+        if trial % 3 == 0:  # opaque enough that some pixels stop
+            for g in gaussians:
+                g.opacity = rng.uniform(0.9, 1.0)
+        splats = project_gaussians(gaussians, cam, opts)
+        bg = rng.uniform(0, 1, size=3)
+        got = raster._composite_forward(splats, cam, bg, opts)
+        ref = reference_composite_forward(splats, 16, 20, bg, use_thresholds)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+        image, trans, stop = got
+        stopped += int((stop < splats.mean2d.shape[0]).sum())
+
+        grad_image = rng.normal(size=image.shape)
+        got = raster._composite_backward(splats, cam, bg, opts, trans, stop, grad_image)
+        ref = reference_composite_backward(splats, 16, 20, bg, use_thresholds, trans, stop,
+                                           grad_image)
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
+    assert (stopped > 0) == use_thresholds
+
+
+def test_transmittance_early_out_forward_and_gradients(rng):
+    """A stack of near-opaque splats drives the transmittance below
+    STOP_TRANSMITTANCE in the middle of the image but not at its edge.
+    Splats 0 and 2 have opacity 1 and sit on the centre of pixel (6, 6),
+    where they are capped. final_trans and stop match a per-pixel walk, and
+    every compositing gradient matches central differences."""
+    H = W = 12
+    cam = identity_camera(width=W, height=H)
+    opts = raster.RenderOptions(True)
+    M = 8
+    mean2d = np.array([6.5, 6.5]) + rng.uniform(-1.5, 1.5, size=(M, 2))
+    mean2d[[0, 2]] = 6.5
+    cov = np.stack([rng.uniform(10.0, 18.0, size=M), rng.uniform(-2.0, 2.0, size=M),
+                    rng.uniform(10.0, 18.0, size=M)], axis=1)
+    opacity = np.array([1.0, 0.98, 1.0, 0.98, 0.97, 0.97, 0.95, 0.95])
+    color = rng.uniform(0, 1, size=(M, 3))
+    bbox = np.tile([0, W - 1, 0, H - 1], (M, 1))
+    bg = np.array([0.2, 0.3, 0.4])
+    grad_image = rng.normal(size=(H, W, 3))
+
+    def splats_of():
+        a, b, c = cov[:, 0], cov[:, 1], cov[:, 2]
+        det = a * c - b * b
+        return SimpleNamespace(mean2d=mean2d, cov=cov, opacity=opacity, color=color,
+                               bbox=bbox, conic=np.stack([c / det, -b / det, a / det], axis=1))
+
+    def forward():
+        return raster._composite_forward(splats_of(), cam, bg, opts)
+
+    splats = splats_of()
+    _, trans, stop = forward()
+    ref_trans, ref_stop = per_pixel_transmittance(splats, H, W)
+    np.testing.assert_array_equal(stop, ref_stop)
+    np.testing.assert_allclose(trans, ref_trans, rtol=1e-12, atol=0)
+    assert (stop < M).sum() >= 20 and (stop == M).sum() >= 20
+    assert stop[6, 6] > 2  # both capped terms were composited
+
+    grads = raster._composite_backward(splats, cam, bg, opts, trans, stop, grad_image)
+    h = 1e-5
+    for arr, grad in zip((mean2d, cov, opacity, color), grads):
+        flat, gflat = arr.reshape(-1), grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            img_p, _, stop_p = forward()
+            flat[i] = orig - h
+            img_m, _, stop_m = forward()
+            flat[i] = orig
+            # the perturbation moves no pixel across the stop threshold
+            assert stop_p.tobytes() == stop_m.tobytes() == stop.tobytes()
+            fd = np.vdot(grad_image, img_p - img_m) / (2 * h)
+            assert abs(fd - gflat[i]) <= 1e-6 * max(abs(fd), 1e-2), (arr.shape, i, fd, gflat[i])
 
 
 # ---------------------------------------------------------------------------
