@@ -139,6 +139,9 @@ def cmd_train(args):
     return 0
 
 
+_POSE_KEYS = ("width", "height", "fx", "fy", "cx", "cy", "rotation", "translation")
+
+
 def _resolve_camera(spec, data_dir):
     import numpy as np
 
@@ -158,15 +161,26 @@ def _resolve_camera(spec, data_dir):
         raise _UsageError(f"camera id {cam_id} not in dataset")
     if not os.path.isfile(spec):
         raise _UsageError(f"camera pose file not found: {spec}")
-    with open(spec) as f:
-        pose = json.load(f)
-    return Camera(
-        id=int(pose.get("id", 0)), width=int(pose["width"]), height=int(pose["height"]),
-        fx=float(pose["fx"]), fy=float(pose["fy"]),
-        cx=float(pose["cx"]), cy=float(pose["cy"]),
-        rotation=quat_normalize(np.asarray(pose["rotation"], dtype=np.float64)),
-        translation=np.asarray(pose["translation"], dtype=np.float64),
-        period=int(pose.get("period", 0)), image_name=pose.get("image_name", "pose"))
+    try:
+        with open(spec) as f:
+            pose = json.load(f)
+    except ValueError as exc:
+        raise _UsageError(f"camera pose file {spec} is not valid JSON: {exc}") from exc
+    if not isinstance(pose, dict):
+        raise _UsageError(f"camera pose file {spec} must hold a JSON object")
+    missing = [key for key in _POSE_KEYS if key not in pose]
+    if missing:
+        raise _UsageError(f"camera pose file {spec} lacks {', '.join(missing)}")
+    try:
+        return Camera(
+            id=int(pose.get("id", 0)), width=int(pose["width"]), height=int(pose["height"]),
+            fx=float(pose["fx"]), fy=float(pose["fy"]),
+            cx=float(pose["cx"]), cy=float(pose["cy"]),
+            rotation=quat_normalize(np.asarray(pose["rotation"], dtype=np.float64)),
+            translation=np.asarray(pose["translation"], dtype=np.float64),
+            period=int(pose.get("period", 0)), image_name=pose.get("image_name", "pose"))
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"camera pose file {spec}: {exc}") from exc
 
 
 def cmd_render(args):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import OutOfRange, ShapeMismatch, TooSmall
 
@@ -36,7 +36,6 @@ def _gaussian_window():
 
 
 _WINDOW_1D = _gaussian_window()
-_HALF = SSIM_WINDOW // 2
 
 
 def _check_images(pred, gt):
@@ -56,18 +55,26 @@ def l1_loss(pred, gt):
     return value, grad
 
 
+@lru_cache(maxsize=8)
+def _band(n):
+    """Band matrix B, (n - SSIM_WINDOW + 1, n), with B[i, i + k] = w[k]:
+    B @ x is the valid correlation of x's columns with the window. Cached
+    and read-only."""
+    rows = np.arange(n - SSIM_WINDOW + 1)
+    band = np.zeros((rows.size, n), dtype=np.float64)
+    for k, w in enumerate(_WINDOW_1D):
+        band[rows, rows + k] = w
+    band.flags.writeable = False
+    return band
+
+
 def _valid_conv(img):
-    tmp = correlate1d(img, _WINDOW_1D, axis=0, mode="constant")
-    tmp = correlate1d(tmp, _WINDOW_1D, axis=1, mode="constant")
-    return tmp[_HALF:-_HALF, _HALF:-_HALF]
+    return _band(img.shape[0]) @ img @ _band(img.shape[1]).T
 
 
 def _spread(field, shape):
     """Adjoint of _valid_conv: scatter a valid-region field back to full size."""
-    canvas = np.zeros(shape, dtype=np.float64)
-    canvas[_HALF:-_HALF, _HALF:-_HALF] = field
-    canvas = correlate1d(canvas, _WINDOW_1D, axis=0, mode="constant")
-    return correlate1d(canvas, _WINDOW_1D, axis=1, mode="constant")
+    return _band(shape[0]).T @ field @ _band(shape[1])
 
 
 def ssim(pred, gt):

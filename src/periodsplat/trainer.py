@@ -21,6 +21,7 @@ produce bitwise-identical checkpoints.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import sys
@@ -187,9 +188,6 @@ class TrainState:
         self.spatial_lr_scale = spatial_lr_scale
         self.iteration = iteration
         self._epoch_queue = []
-
-    def param_dtype(self):
-        return np.float32 if self.config.dtype == "f32" else np.float64
 
 
 def _build_groups(config, scaffold, global_g, weights, spatial_lr_scale):
@@ -464,10 +462,20 @@ def _encode_tensor(arr):
 
 
 def _decode_tensor(payload):
-    code, ndim = struct.unpack_from("<BB", payload, 0)
-    shape = struct.unpack_from(f"<{ndim}Q", payload, 2) if ndim else ()
+    """Inverse of _encode_tensor; CorruptChecksum if the payload is not one."""
+    try:
+        code, ndim = struct.unpack_from("<BB", payload, 0)
+        shape = struct.unpack_from(f"<{ndim}Q", payload, 2) if ndim else ()
+    except struct.error as exc:
+        raise CorruptChecksum(f"truncated tensor header: {exc}") from exc
+    if code not in _DTYPE_CODES:
+        raise CorruptChecksum(f"unknown tensor dtype code {code}")
+    dtype = np.dtype(_DTYPE_CODES[code])
     offset = 2 + 8 * ndim
-    arr = np.frombuffer(payload, dtype=_DTYPE_CODES[code], offset=offset).reshape(shape)
+    if len(payload) - offset != math.prod(shape) * dtype.itemsize:
+        raise CorruptChecksum(f"tensor payload of {len(payload) - offset} bytes "
+                              f"does not hold shape {shape}")
+    arr = np.frombuffer(payload, dtype=dtype, offset=offset).reshape(shape)
     if sys.byteorder == "big":
         arr = arr.byteswap()
     return arr.copy()
@@ -519,8 +527,13 @@ def _checkpoint_sections(state):
 
 
 def save_checkpoint(state, path):
+    _write_sections(_checkpoint_sections(state), path)
+
+
+def _write_sections(sections, path):
+    """Write (name, payload) pairs as a checkpoint file; inverse of _read_sections."""
     blob = bytearray(CHECKPOINT_MAGIC)
-    for name, payload in _checkpoint_sections(state):
+    for name, payload in sections:
         encoded = name.encode()
         blob += struct.pack("<I", len(encoded)) + encoded
         blob += struct.pack("<Q", len(payload)) + payload
@@ -567,18 +580,36 @@ def _read_sections(path):
 
 
 def load_checkpoint(path):
-    """Rebuild a TrainState from a checkpoint file."""
+    """Rebuild a TrainState from a checkpoint file.
+
+    A CRC-valid file that lacks a section or holds a malformed one raises
+    CorruptChecksum, like a file that fails its CRC.
+    """
     sections = _read_sections(path)
-    config = config_from_text(sections["config"].decode()).validate()
-    meta = json.loads(sections["meta"].decode())
+
+    def section(name):
+        try:
+            return sections[name]
+        except KeyError:
+            raise CorruptChecksum(f"checkpoint has no section {name!r}") from None
+
+    def json_section(name, keys):
+        try:
+            record = json.loads(section(name).decode())
+            return {key: record[key] for key in keys}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptChecksum(f"malformed section {name!r}: {exc!r}") from exc
+
+    config = config_from_text(section("config").decode()).validate()
+    meta = json_section("meta", ("T", "iteration", "spatial_lr_scale", "voxel_size"))
     dtype = np.float32 if config.dtype == "f32" else np.float64
 
     def tensor(name, cast=True):
-        arr = _decode_tensor(sections[name])
+        arr = _decode_tensor(section(name))
         return arr.astype(dtype) if cast and arr.dtype.kind == "f" else arr
 
-    positions = _decode_tensor(sections["scaffold.positions"])
-    box_min = _decode_tensor(sections["scaffold.box_min"])
+    positions = tensor("scaffold.positions", cast=False)
+    box_min = tensor("scaffold.box_min", cast=False)
     voxel = meta["voxel_size"]
     occupied = {}
     for i, p in enumerate(positions):
@@ -603,12 +634,12 @@ def load_checkpoint(path):
     for name in sorted(groups):
         group = groups[name]
         for i in range(len(group.params)):
-            group.m[i] = _decode_tensor(sections[f"adam.{name}.{i}.m"])
-            group.v[i] = _decode_tensor(sections[f"adam.{name}.{i}.v"])
-            step = _decode_tensor(sections[f"adam.{name}.{i}.step"])
+            group.m[i] = tensor(f"adam.{name}.{i}.m", cast=False)
+            group.v[i] = tensor(f"adam.{name}.{i}.v", cast=False)
+            step = tensor(f"adam.{name}.{i}.step", cast=False)
             group.step[i] = step if group.row_state else int(step)
 
-    rng_meta = json.loads(sections["rng"].decode())
+    rng_meta = json_section("rng", ("state", "inc", "has_uint32", "uinteger"))
     rng = np.random.Generator(np.random.PCG64(0))
     rng.bit_generator.state = {
         "bit_generator": "PCG64",

@@ -49,3 +49,33 @@ def central_difference(fn, arr, indices, h=1e-5):
         flat[i] = orig
         out[i] = (fp - fm) / (2 * h)
     return out
+
+
+def rewrite_checkpoint(src, dst, edit):
+    """Copy checkpoint src to dst with edit(sections) applied to its section
+    dict; the copy gets a valid CRC, so that only the edit is at fault."""
+    from periodsplat import trainer
+    sections = trainer._read_sections(src)
+    edit(sections)
+    trainer._write_sections(sections.items(), dst)
+
+
+def _drop_global(sections):
+    del sections["global.g"]
+
+
+def _unknown_dtype(sections):
+    sections["global.g"] = bytes([7]) + sections["global.g"][1:]
+
+
+def _short_payload(sections):
+    sections["global.g"] = sections["global.g"][:-8]
+
+
+def _meta_not_json(sections):
+    sections["meta"] = b'{"T": 2'
+
+
+# CRC-valid checkpoint faults, each of which must read as CorruptChecksum.
+CHECKPOINT_FAULTS = {"missing_section": _drop_global, "unknown_dtype": _unknown_dtype,
+                     "short_payload": _short_payload, "meta_not_json": _meta_not_json}

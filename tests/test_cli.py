@@ -8,6 +8,7 @@ import pytest
 from periodsplat import cli
 from periodsplat.dataio import read_ppm
 
+from conftest import CHECKPOINT_FAULTS, rewrite_checkpoint
 from test_dataio import tree_digest
 
 
@@ -137,6 +138,26 @@ def test_render_pose_file(workspace, tmp_path):
     assert read_ppm(out).shape == (24, 24, 3)
 
 
+_POSE = {"width": 24, "height": 24, "fx": 23.0, "fy": 23.0, "cx": 12.0, "cy": 12.0,
+         "rotation": [1, 0, 0, 0], "translation": [0, 0, 2.5]}
+
+
+@pytest.mark.parametrize("command", ["render", "interp"])
+@pytest.mark.parametrize("text,named", [
+    (json.dumps({k: v for k, v in _POSE.items() if k != "width"}), "width"),
+    (json.dumps(_POSE)[:-5], "not valid JSON")])
+def test_pose_file_faults_exit_2(workspace, tmp_path, capsys, command, text, named):
+    """A pose file that lacks a key or is not valid JSON is a usage error."""
+    _, _, _, ckpt, _ = workspace
+    pose = tmp_path / "pose.json"
+    pose.write_text(text)
+    extra = ["--time", "0"] if command == "render" else ["--steps", "2"]
+    code = cli.main([command, "--ckpt", str(ckpt), "--camera", str(pose),
+                     "--out", str(tmp_path / "out"), *extra])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_interp_endpoints_match_render(workspace, tmp_path):
     _, _, data_dir, ckpt, _ = workspace
     frames = tmp_path / "frames"
@@ -226,6 +247,14 @@ def test_inspect_corrupted_exit_3(workspace, tmp_path):
     blob = bytearray(ckpt.read_bytes())
     blob[50] ^= 0x55
     bad.write_bytes(bytes(blob))
+    assert cli.main(["inspect", "--ckpt", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_inspect_crc_valid_fault_exit_3(workspace, tmp_path, fault):
+    _, _, _, ckpt, _ = workspace
+    bad = tmp_path / f"{fault}.ckpt"
+    rewrite_checkpoint(ckpt, bad, CHECKPOINT_FAULTS[fault])
     assert cli.main(["inspect", "--ckpt", str(bad)]) == 3
 
 

@@ -258,34 +258,104 @@ def test_order_permutation_invariance(rng):
     assert img1.tobytes() == img2.tobytes()
 
 
+def explicit_splats(mean2d, cov, opacity, color, H, W):
+    """2D splats given directly, each with its thresholded footprint bbox."""
+    a, b, c = cov[:, 0], cov[:, 1], cov[:, 2]
+    det = a * c - b * b
+    r2 = raster._footprint_radius_sq(opacity, True)
+    rx, ry = np.sqrt(r2 * a), np.sqrt(r2 * c)
+    bbox = np.stack([np.maximum(np.ceil(mean2d[:, 0] - rx - 0.5), 0),
+                     np.minimum(np.floor(mean2d[:, 0] + rx - 0.5), W - 1),
+                     np.maximum(np.ceil(mean2d[:, 1] - ry - 0.5), 0),
+                     np.minimum(np.floor(mean2d[:, 1] + ry - 0.5), H - 1)], axis=1)
+    return SimpleNamespace(mean2d=mean2d, cov=cov, opacity=opacity, color=color,
+                           bbox=bbox.astype(np.int64),
+                           conic=np.stack([c / det, -b / det, a / det], axis=1))
+
+
+def buried_splats(rng, H, W):
+    """Four opaque full-image splats, then small splats near the centre,
+    several of them wholly behind pixels the front four have stopped."""
+    front = np.full((4, 2), [W / 2, H / 2]) + rng.uniform(-0.5, 0.5, size=(4, 2))
+    back = np.array([W / 2, H / 2]) + rng.uniform(-2.0, 2.0, size=(10, 2))
+    cov = np.concatenate([np.tile([60.0, 0.0, 60.0], (4, 1)),
+                          np.tile([0.3, 0.0, 0.3], (10, 1))])
+    opacity = np.concatenate([np.ones(4), rng.uniform(0.3, 1.0, size=10)])
+    return explicit_splats(np.concatenate([front, back]), cov, opacity,
+                           rng.uniform(0, 1, size=(14, 3)), H, W)
+
+
 @pytest.mark.parametrize("use_thresholds", [True, False])
-def test_composite_matches_reference_loops(rng, use_thresholds):
-    """The compositing passes against the reference loops on random scenes:
-    the forward bitwise, the backward to 1e-12 relative per array."""
-    cam = identity_camera(width=20, height=16, fx=18.0, fy=18.0, z_offset=2.0)
+def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
+    """The compositing passes against the reference loops: the forward
+    bitwise, the backward to 1e-12 relative per array, and with thresholds
+    final_trans and stop against a per-pixel walk. The scenes are random,
+    some opaque enough to stop, one with splats wholly behind stopped
+    pixels, and one with no splat; each runs with the default window budget
+    and with one so small that it spans several windows and width groups."""
+    H, W = 16, 20
+    cam = identity_camera(width=W, height=H, fx=18.0, fy=18.0, z_offset=2.0)
     opts = raster.RenderOptions(use_thresholds)
-    stopped = 0
+    scenes = [raster._empty_splats(), buried_splats(rng, H, W)]
     for trial in range(12):
         gaussians = random_gaussians(rng, int(rng.integers(1, 60)))
         if trial % 3 == 0:  # opaque enough that some pixels stop
             for g in gaussians:
                 g.opacity = rng.uniform(0.9, 1.0)
-        splats = project_gaussians(gaussians, cam, opts)
-        bg = rng.uniform(0, 1, size=3)
-        got = raster._composite_forward(splats, cam, bg, opts)
-        ref = reference_composite_forward(splats, 16, 20, bg, use_thresholds)
-        for a, b in zip(got, ref):
-            assert a.tobytes() == b.tobytes()
-        image, trans, stop = got
-        stopped += int((stop < splats.mean2d.shape[0]).sum())
+        scenes.append(project_gaussians(gaussians, cam, opts))
 
-        grad_image = rng.normal(size=image.shape)
-        got = raster._composite_backward(splats, cam, bg, opts, trans, stop, grad_image)
-        ref = reference_composite_backward(splats, 16, 20, bg, use_thresholds, trans, stop,
-                                           grad_image)
-        for a, b in zip(got, ref):
-            assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
+    stopped = buried = several_windows = several_groups = 0
+    for splats in scenes:
+        M = splats.mean2d.shape[0]
+        bg = rng.uniform(0, 1, size=3)
+        grad_image = rng.normal(size=(H, W, 3))
+        ref = reference_composite_forward(splats, H, W, bg, use_thresholds)
+        _, trans, stop = ref
+        ref_grads = reference_composite_backward(splats, H, W, bg, use_thresholds, trans, stop,
+                                                 grad_image)
+        if use_thresholds:
+            walk_trans, walk_stop = per_pixel_transmittance(splats, H, W)
+            np.testing.assert_array_equal(stop, walk_stop)
+            np.testing.assert_allclose(trans, walk_trans, rtol=1e-12, atol=0)
+        stopped += int((stop < M).sum())
+        buried += sum(bool((stop[y0:y1 + 1, x0:x1 + 1] <= n).all())
+                      for n, (x0, x1, y0, y1) in enumerate(splats.bbox.tolist()))
+
+        for window_px in (raster.WINDOW_PX, 256, 48):
+            monkeypatch.setattr(raster, "WINDOW_PX", window_px)
+            got = raster._composite_forward(splats, cam, bg, opts)
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes()
+            got = raster._composite_backward(splats, cam, bg, opts, trans, stop, grad_image)
+            for a, b in zip(got, ref_grads):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
+            windows = raster._windows(splats.bbox) if M else []
+            several_windows += len(windows) > 1
+            several_groups += any(
+                len(raster._window_alphas(raster._splat_params(splats), splats.bbox, n0, n1,
+                                          use_thresholds).groups) > 1
+                for n0, n1 in windows)
+        monkeypatch.undo()
     assert (stopped > 0) == use_thresholds
+    assert (buried > 0) == use_thresholds
+    assert several_windows > 0 and several_groups > 0
+
+
+def test_windows_partition_the_splats(rng, monkeypatch):
+    """Windows are consecutive, cover every splat once, and stay within the
+    pixel budget unless they hold a single splat."""
+    monkeypatch.setattr(raster, "WINDOW_PX", 64)
+    x0, y0 = rng.integers(0, 20, size=(2, 200))
+    bbox = np.stack([x0, x0 + rng.integers(0, 12, 200),
+                     y0, y0 + rng.integers(0, 12, 200)], axis=1)
+    windows = raster._windows(bbox)
+    assert [n0 for n0, _ in windows] == [0] + [n1 for _, n1 in windows[:-1]]
+    assert windows[-1][1] == 200
+    area = (bbox[:, 3] - bbox[:, 2] + 1) * raster._padded_width(bbox)
+    for n0, n1 in windows:
+        assert n1 - n0 == 1 or area[n0:n1].sum() <= 64
+        assert n1 == 200 or area[n0:n1 + 1].sum() > 64  # as long as the budget allows
 
 
 def test_transmittance_early_out_forward_and_gradients(rng):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,8 @@ from periodsplat import trainer as tr
 from periodsplat.dataio import PrimitiveSpec, SyntheticSceneSpec, generate_synthetic
 from periodsplat.errors import (ConfigInvalid, CorruptChecksum, EmptyDataset,
                                 VersionMismatch)
+
+from conftest import CHECKPOINT_FAULTS, rewrite_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +235,20 @@ def test_checkpoint_flipped_byte(tiny_dataset, tmp_path):
         tr.load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+def test_checkpoint_crc_valid_faults(tiny_dataset, tmp_path, fault):
+    """A section missing, an unknown dtype code or a payload shorter than its
+    shape, each under a valid CRC, is reported as a corrupt checkpoint."""
+    _, path = train_briefly(tiny_dataset, tmp_path, iters=0)
+    same = tmp_path / "same.ckpt"
+    rewrite_checkpoint(path, same, lambda sections: None)
+    assert same.read_bytes() == path.read_bytes()
+    bad = tmp_path / f"{fault}.ckpt"
+    rewrite_checkpoint(path, bad, CHECKPOINT_FAULTS[fault])
+    with pytest.raises(CorruptChecksum):
+        tr.load_checkpoint(bad)
+
+
 def test_deterministic_training_bitwise(tiny_dataset, tmp_path):
     _, p1 = train_briefly(tiny_dataset, tmp_path, name="d1", deterministic=True, seed=5)
     _, p2 = train_briefly(tiny_dataset, tmp_path, name="d2", deterministic=True, seed=5)
@@ -258,3 +278,37 @@ def test_f32_storage_option(tiny_dataset):
         report = tr.training_step(state, cam, tiny_dataset.images[cam.id])
         assert np.isfinite(report.total)
     assert state.scaffold.f_base.dtype == np.float32
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import numpy as np
+from periodsplat import trainer as tr
+from periodsplat.dataio import PrimitiveSpec, SyntheticSceneSpec, generate_synthetic
+from periodsplat.optim import hybrid_loss
+
+prim = PrimitiveSpec(mean=np.zeros(3), rotation=np.array([1.0, 0, 0, 0]),
+                     scale=np.array([0.5, 0.5, 0.2]), opacity=0.9,
+                     color=np.array([0.3, 0.5, 0.3]), lifespan={0, 1})
+spec = SyntheticSceneSpec(T=2, primitives=[prim], tint=[(1, 1, 1), (0.9, 0.95, 1)],
+                          orbit_radius=2.4, orbit_height=1.4, cams_per_period=4,
+                          width=16, height=16, fov_deg=55.0, seed=1,
+                          points_per_primitive=16)
+dataset = generate_synthetic(spec, sys.argv[1])
+image = dataset.images[dataset.cameras[0].id]
+hybrid_loss(image * 0.5, image, 0.2)
+state = tr.init_state(tr.TrainConfig.desk_preset(loss_lambda=0.2), dataset)
+cam = dataset.train_cameras()[0]
+tr.training_step(state, cam, dataset.images[cam.id])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_training_step_does_not_load_scipy(tmp_path):
+    """The package computes SSIM with numpy alone: a loss and a training
+    step in a fresh interpreter leave scipy unimported."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path / "ds")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
