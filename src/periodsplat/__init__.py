@@ -10,14 +10,13 @@ multi-period images, including synthesis of fractional-period states.
 __version__ = "0.1.0"
 
 from .errors import PeriodSplatError
-from .geom import Camera, Gaussian3D, Splat2D
+from .geom import Camera, Gaussian3D
 from .temporal import TimeEncoding, encode_time
 
 __all__ = [
     "Camera",
     "Gaussian3D",
     "PeriodSplatError",
-    "Splat2D",
     "TimeEncoding",
     "encode_time",
     "__version__",

@@ -23,16 +23,19 @@ class _UsageError(Exception):
 
 def _set_threads(argv):
     """Pin the BLAS thread count from --threads N or --threads=N; like
-    argparse, the last occurrence wins."""
+    argparse, the last occurrence wins. Without the flag, a thread variable
+    that is not set already defaults to 1."""
     n = None
     for i, arg in enumerate(argv):
         if arg == "--threads" and i + 1 < len(argv):
             n = argv[i + 1]
         elif arg.startswith("--threads="):
             n = arg.partition("=")[2]
-    if n is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS"):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        if n is None:
+            os.environ.setdefault(var, "1")
+        else:
             os.environ[var] = n
 
 
@@ -41,7 +44,8 @@ def _build_parser():
         prog="periodsplat",
         description="Multi-period Gaussian-splatting reconstruction toolkit")
     parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread count (set before numpy loads)")
+                        help="BLAS thread count, set before numpy loads "
+                             "(default: 1 where the thread variable is unset)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="render a synthetic multi-period dataset")
@@ -54,7 +58,6 @@ def _build_parser():
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--preset", choices=["desk", "paper"], default="desk")
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--ablate", action="append", choices=["base", "var", "global"],
                    default=[])
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -121,9 +124,6 @@ def cmd_train(args):
         override_lines.append(item)
     if override_lines:
         config = config_from_text("\n".join(override_lines), base=config)
-    if args.deterministic:
-        from dataclasses import replace
-        config = replace(config, deterministic=True)
     for name in args.ablate:
         from dataclasses import replace
         config = replace(config, **{f"disable_{name}": True})

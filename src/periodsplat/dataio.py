@@ -182,18 +182,32 @@ def parse_colmap(directory):
             translation=np.array([tx, ty, tz]), period=0, image_name=name))
         expect_pose = False
 
+    cameras.sort(key=lambda c: c.id)
+    return cameras, read_points(pts_path)
+
+
+def read_points(path):
+    """(N, 3) positions from a points3D text file; columns after X Y Z are
+    ignored."""
     points = []
-    for ln, line in _data_lines(pts_path):
+    for ln, line in _data_lines(path):
         parts = line.split()
         if len(parts) < 4:
-            raise ParseError("point line needs at least 4 fields", path=pts_path, line=ln)
+            raise ParseError("point line needs at least 4 fields", path=path, line=ln)
         try:
             points.append([float(parts[1]), float(parts[2]), float(parts[3])])
         except ValueError as exc:
-            raise ParseError(str(exc), path=pts_path, line=ln) from exc
+            raise ParseError(str(exc), path=path, line=ln) from exc
+    return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
-    cameras.sort(key=lambda c: c.id)
-    return cameras, np.asarray(points, dtype=np.float64).reshape(-1, 3)
+
+def write_points(path, points):
+    """Write (N, 3) positions as a points3D text file (inverse of read_points)."""
+    with open(path, "w") as f:
+        f.write("# 3D point list: POINT3D_ID X Y Z R G B ERROR\n")
+        for i, p in enumerate(points, start=1):
+            xyz = " ".join(FLOAT_FMT % v for v in p)
+            f.write(f"{i} {xyz} 128 128 128 0\n")
 
 
 def write_colmap(directory, cameras, points):
@@ -214,11 +228,7 @@ def write_colmap(directory, cameras, points):
             q = " ".join(FLOAT_FMT % v for v in cam.rotation)
             t = " ".join(FLOAT_FMT % v for v in cam.translation)
             f.write(f"{cam.id} {q} {t} {cam.id} {cam.image_name}\n\n")
-    with open(os.path.join(directory, "points3D.txt"), "w") as f:
-        f.write("# 3D point list: POINT3D_ID X Y Z R G B ERROR\n")
-        for i, p in enumerate(points, start=1):
-            xyz = " ".join(FLOAT_FMT % v for v in p)
-            f.write(f"{i} {xyz} 128 128 128 0\n")
+    write_points(os.path.join(directory, "points3D.txt"), points)
 
 
 def load_periods(path):
@@ -281,18 +291,9 @@ def load_dataset(directory):
         cam.period = period_of[cam.image_name]
     T = max(period_of.values()) + 1
 
-    per_period = []
     sidecars = [os.path.join(directory, f"points3D_{t}.txt") for t in range(T)]
     if all(os.path.isfile(p) for p in sidecars):
-        for p in sidecars:
-            pts = []
-            for ln, line in _data_lines(p):
-                parts = line.split()
-                try:
-                    pts.append([float(parts[1]), float(parts[2]), float(parts[3])])
-                except (ValueError, IndexError) as exc:
-                    raise ParseError(str(exc), path=p, line=ln) from exc
-            per_period.append(np.asarray(pts, dtype=np.float64).reshape(-1, 3))
+        per_period = [read_points(p) for p in sidecars]
     else:
         per_period = [union.copy() for _ in range(T)]
 
@@ -501,11 +502,7 @@ def generate_synthetic(spec, out_dir):
 
     write_colmap(out_dir, cameras, np.concatenate(per_period, axis=0))
     for t in range(spec.T):
-        with open(os.path.join(out_dir, f"points3D_{t}.txt"), "w") as f:
-            f.write("# 3D point list: POINT3D_ID X Y Z R G B ERROR\n")
-            for i, p in enumerate(per_period[t], start=1):
-                xyz = " ".join(FLOAT_FMT % v for v in p)
-                f.write(f"{i} {xyz} 128 128 128 0\n")
+        write_points(os.path.join(out_dir, f"points3D_{t}.txt"), per_period[t])
     with open(os.path.join(out_dir, "periods.txt"), "w") as f:
         f.write("\n".join(period_lines) + "\n")
     with open(os.path.join(out_dir, "split.txt"), "w") as f:

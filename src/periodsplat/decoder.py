@@ -21,7 +21,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import MissingForwardState
-from .geom import Gaussian3D
 
 QUAT_NORM_FLOOR = 1e-8
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -59,30 +58,12 @@ class DecoderWeights:
         return self.opacity.W2.shape[0]
 
 
-@dataclass
-class DecodedCluster:
-    """Decoded attributes of one anchor's K Gaussian slots."""
-
-    means: np.ndarray  # (K, 3)
-    rotations: np.ndarray  # (K, 4) unit quaternions
-    scales: np.ndarray  # (K, 3)
-    raw_opacity: np.ndarray  # (K,) in (-1, 1)
-    colors: np.ndarray  # (K, 3)
-    active: np.ndarray  # (K,) bool, raw_opacity > 0
-
-    def gaussian(self, k):
-        if not self.active[k]:
-            raise ValueError(f"slot {k} is inactive")
-        return Gaussian3D(self.means[k], self.rotations[k], self.scales[k],
-                          float(self.raw_opacity[k]), self.colors[k])
-
-
 def _xavier(rng, shape):
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_decoder_weights(rng, in_dim, hidden, K, opacity_bias=0.1, dtype=np.float64):
+def init_decoder_weights(rng, in_dim, hidden, K, opacity_bias=0.1):
     """Seeded Xavier-uniform weights, zero biases.
 
     The opacity head's output bias starts slightly positive so that
@@ -91,10 +72,10 @@ def init_decoder_weights(rng, in_dim, hidden, K, opacity_bias=0.1, dtype=np.floa
     """
     def head(out_dim, out_bias=0.0):
         return MlpWeights(
-            W1=_xavier(rng, (hidden, in_dim)).astype(dtype),
-            b1=np.zeros(hidden, dtype=dtype),
-            W2=_xavier(rng, (out_dim, hidden)).astype(dtype),
-            b2=np.full(out_dim, out_bias, dtype=dtype),
+            W1=_xavier(rng, (hidden, in_dim)),
+            b1=np.zeros(hidden),
+            W2=_xavier(rng, (out_dim, hidden)),
+            b2=np.full(out_dim, out_bias, dtype=np.float64),
         )
 
     return DecoderWeights(
@@ -167,17 +148,6 @@ def decode_anchors(positions, offsets, offset_scale, shape_scale, h, camera, wei
         active=active,
     )
     return batch, state
-
-
-def decode_anchor(anchor, h, camera, weights):
-    """Decode a single anchor (see decode_anchors) into a DecodedCluster."""
-    batch, _ = decode_anchors(
-        anchor.position[None, :], anchor.offsets[None, ...],
-        anchor.offset_scale[None, :], anchor.shape_scale[None, :],
-        np.asarray(h, dtype=np.float64)[None, :], camera, weights)
-    return DecodedCluster(
-        means=batch.means[0], rotations=batch.rotations[0], scales=batch.scales[0],
-        raw_opacity=batch.raw_opacity[0], colors=batch.colors[0], active=batch.active[0])
 
 
 def _head_backward(w, u, z1, a1, g_out):

@@ -13,10 +13,6 @@ class ShapeMismatch(PeriodSplatError):
     """Array arguments have inconsistent shapes."""
 
 
-class BehindCamera(PeriodSplatError):
-    """A point lies behind (or on) the camera near plane."""
-
-
 class EmptyPointCloud(PeriodSplatError):
     """No points were supplied where at least one is required."""
 

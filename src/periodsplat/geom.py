@@ -11,12 +11,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-
-from .errors import BehindCamera
 
 NEAR_PLANE = 0.01
 # Added to both diagonal entries of every projected 2D covariance so
@@ -172,75 +170,14 @@ class Gaussian3D:
             raise ValueError("color components must lie in [0, 1]")
 
 
-@dataclass
-class Splat2D:
-    """A Gaussian projected to the image plane."""
-
-    mean2d: np.ndarray  # pixels
-    cov2d: tuple  # (a, b, c) of the symmetric 2x2, dilation included
-    depth: float  # view-space z
-    opacity: float
-    color: np.ndarray
-    source: tuple = (0, 0)  # (anchor index, offset slot)
-
-
-def world_to_view(camera, point):
-    """Rigid transform of one world point into the camera frame."""
-    return camera.rotation_matrix() @ np.asarray(point, dtype=np.float64) + camera.translation
-
-
 def world_to_view_many(camera, points):
     return points @ camera.rotation_matrix().T + camera.translation
 
 
-def project_mean(camera, view_point):
-    """Pinhole projection of a view-space point to (pixel xy, depth).
-
-    Raises BehindCamera when the point does not lie strictly in front of
-    the near plane.
-    """
-    x, y, z = np.asarray(view_point, dtype=np.float64)
-    if z <= NEAR_PLANE:
-        raise BehindCamera(f"view-space z {z} is behind the near plane")
-    pixel = np.array([camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy])
-    return pixel, float(z)
-
-
-def project_covariance(camera, view_mean, rotation, scale):
-    """EWA projection of one 3D covariance to the dilated 2D triplet (a, b, c).
-
-    The world covariance is R diag(scale^2) R^T; it is rotated into the view
-    frame and mapped through the first-order perspective Jacobian evaluated
-    at the (clamped) view-space mean. COV_DILATION is added to the diagonal.
-    """
-    view_mean = np.asarray(view_mean, dtype=np.float64)
-    if view_mean[2] <= NEAR_PLANE:
-        raise BehindCamera(f"view-space z {view_mean[2]} is behind the near plane")
-    proj = project_splats(
-        camera,
-        view_mean[None, :],
-        quat_normalize(rotation)[None, :],
-        np.asarray(scale, dtype=np.float64)[None, :],
-        means_are_view=True,
-    )
-    return tuple(proj.cov[0])
-
-
-def frustum_test(camera, point, margin=None):
-    """True when the point is in front of the camera and projects inside the
-    image bounds expanded by ``margin`` pixels (default 15% of the diagonal)."""
-    if margin is None:
-        margin = 0.15 * camera.image_diagonal()
-    view = world_to_view(camera, point)
-    if view[2] <= NEAR_PLANE:
-        return False
-    px = camera.fx * view[0] / view[2] + camera.cx
-    py = camera.fy * view[1] / view[2] + camera.cy
-    return (-margin <= px <= camera.width + margin) and (-margin <= py <= camera.height + margin)
-
-
 def frustum_test_many(camera, points, margin=None):
-    """Vectorized frustum_test over an (N, 3) array; returns a bool mask."""
+    """Bool mask of the (N, 3) points that lie in front of the camera and
+    project inside the image bounds expanded by ``margin`` pixels (default
+    15% of the diagonal)."""
     if margin is None:
         margin = 0.15 * camera.image_diagonal()
     view = world_to_view_many(camera, points)
@@ -256,24 +193,22 @@ def frustum_test_many(camera, points, margin=None):
     return ok & inside
 
 
-def project_splats(camera, means, quats, scales, means_are_view=False):
+def project_splats(camera, means, quats, scales):
     """Project a batch of 3D Gaussians to 2D splats.
 
     Parameters
     ----------
-    means : (M, 3) world-space centers (or view-space when means_are_view).
+    means : (M, 3) world-space centers.
     quats : (M, 4) unit quaternions.
     scales : (M, 3) positive per-axis standard deviations.
 
     Returns a namespace with view (M,3), mean2d (M,2), depth (M,), cov (M,3)
-    and the intermediates needed by project_splats_backward. All entries
-    must already lie in front of the near plane.
+    and the intermediates needed by project_splats_backward, every one an
+    array with one row per Gaussian. All entries must already lie in front
+    of the near plane.
     """
     R_cam = camera.rotation_matrix()
-    if means_are_view:
-        view = np.asarray(means, dtype=np.float64)
-    else:
-        view = means @ R_cam.T + camera.translation
+    view = means @ R_cam.T + camera.translation
     x, y, z = view[:, 0], view[:, 1], view[:, 2]
     inv_z = 1.0 / z
 
@@ -313,11 +248,10 @@ def project_splats(camera, means, quats, scales, means_are_view=False):
 
     return SimpleNamespace(
         view=view, mean2d=mean2d, depth=z.copy(), cov=cov,
-        R_cam=R_cam, quats=quats, scales=scales, Rq=Rq, Mm=Mm,
+        quats=quats, scales=scales, Rq=Rq, Mm=Mm,
         t0=t0, t1=t1, v0=v0, v1=v1,
         txz=txz, tyz=tyz, ctx=ctx, cty=cty, tx=tx, ty=ty,
-        limx=limx, limy=limy, inv_z=inv_z, inv_z2=inv_z2,
-        j00=j00, j02=j02, j11=j11, j12=j12,
+        inv_z=inv_z, inv_z2=inv_z2,
     )
 
 
@@ -328,7 +262,7 @@ def project_splats_backward(camera, proj, g_mean2d, g_cov):
     returns gradients on world means, (unit) quaternions, and scales.
     Depth carries no gradient (it only orders compositing).
     """
-    R_cam = proj.R_cam
+    R_cam = camera.rotation_matrix()
     x, y, z = proj.view[:, 0], proj.view[:, 1], proj.view[:, 2]
     inv_z, inv_z2 = proj.inv_z, proj.inv_z2
     ga, gb, gc = g_cov[:, 0], g_cov[:, 1], g_cov[:, 2]

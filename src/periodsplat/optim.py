@@ -203,8 +203,8 @@ class ParamGroup:
 
     def __post_init__(self):
         if not self.m:
-            self.m = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in self.params]
-            self.v = [np.zeros_like(np.asarray(p, dtype=np.float64)) for p in self.params]
+            self.m = [np.zeros_like(p) for p in self.params]
+            self.v = [np.zeros_like(p) for p in self.params]
             if self.row_state:
                 self.step = [np.zeros(p.shape[0], dtype=np.int64) for p in self.params]
             else:
@@ -235,4 +235,4 @@ def adam_step(group, grads, step):
         m_hat = group.m[i] / (1 - ADAM_BETA1 ** t)
         v_hat = group.v[i] / (1 - ADAM_BETA2 ** t)
         update = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        p -= update.astype(p.dtype, copy=False)
+        p -= update

@@ -8,8 +8,8 @@ depth-sorted globally, and alpha-composited front to back:
     ahat_n(u) = min(0.99, alpha_n * exp(-0.5 d' Sigma'^-1 d)),  d = u - mean2d
 
 Terms with ahat < 1/255 are skipped and accumulation stops once the
-transmittance falls below 1e-4; both shortcuts can be disabled through
-RenderOptions for oracle comparisons. A skipped or stopped term has its ahat
+transmittance falls below 1e-4; use_thresholds=False disables both
+shortcuts for oracle comparisons. A skipped or stopped term has its ahat
 set to exactly 0, so it composites as a no-op (weight 0, factor 1.0) without
 a mask of its own.
 
@@ -66,16 +66,6 @@ WINDOW_PX = 1 << 15
 WIDTH_QUANTUM = 4
 
 
-class RenderOptions:
-    """Rasterizer switches; defaults match the production path."""
-
-    def __init__(self, use_thresholds=True):
-        self.use_thresholds = use_thresholds
-
-
-DEFAULT_OPTIONS = RenderOptions()
-
-
 def _footprint_radius_sq(opacity, use_thresholds):
     """Squared Mahalanobis radius beyond which a splat cannot contribute."""
     if use_thresholds:
@@ -84,7 +74,8 @@ def _footprint_radius_sq(opacity, use_thresholds):
     return 2.0 * np.log(np.maximum(opacity, TAIL_EPS) / TAIL_EPS)
 
 
-def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots, options):
+def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots,
+                      use_thresholds):
     """Shared projection + culling for flattened Gaussian arrays.
 
     rows/slots identify each entry's source (anchor row, offset slot).
@@ -92,7 +83,7 @@ def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots
     projection state for the backward pass.
     """
     # Drop entries that cannot contribute at all.
-    if options.use_thresholds:
+    if use_thresholds:
         keep = opacity > ALPHA_SKIP
     else:
         keep = opacity > TAIL_EPS
@@ -115,7 +106,7 @@ def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots
     if np.any(det <= 0):
         raise InternalError("projected covariance is not positive definite")
 
-    r2 = _footprint_radius_sq(opacity, options.use_thresholds)
+    r2 = _footprint_radius_sq(opacity, use_thresholds)
     rx = np.sqrt(r2 * a)
     ry = np.sqrt(r2 * c)
     mx, my = proj.mean2d[:, 0], proj.mean2d[:, 1]
@@ -261,10 +252,9 @@ def _per_splat(win, row_values):
     return np.add.reduceat(row_values, win.starts, axis=0)
 
 
-def _composite_forward(splats, camera, background, options):
+def _composite_forward(splats, camera, background, use_thresholds):
     H, W = camera.height, camera.width
     M = splats.mean2d.shape[0]
-    use_thresholds = options.use_thresholds
     acc = np.zeros((3, H, W), dtype=np.float64)  # channel first: long inner loops
     trans = np.ones((H, W), dtype=np.float64)
     stop = np.full((H, W), M, dtype=np.int64)
@@ -299,7 +289,8 @@ def _composite_forward(splats, camera, background, options):
     return image, trans, stop
 
 
-def _composite_backward(splats, camera, background, options, final_trans, stop, grad_image):
+def _composite_backward(splats, camera, background, use_thresholds, final_trans, stop,
+                        grad_image):
     W = camera.width
     M = splats.mean2d.shape[0]
     params = _splat_params(splats)
@@ -323,7 +314,7 @@ def _composite_backward(splats, camera, background, options, final_trans, stop, 
     g_color = np.zeros((M, 3), dtype=np.float64)
 
     for n0, n1 in reversed(_windows(splats.bbox)):
-        win = _window_alphas(params, splats.bbox, n0, n1, options.use_thresholds)
+        win = _window_alphas(params, splats.bbox, n0, n1, use_thresholds)
         live_rows = np.empty(win.dy.size, dtype=np.int64)
         for group in win.groups:
             rows = group.rows
@@ -397,70 +388,7 @@ def _composite_backward(splats, camera, background, options, final_trans, stop, 
     return g_mean2d, g_cov, g_opacity, g_color
 
 
-def composite_pixel(splats, u, background, options=DEFAULT_OPTIONS):
-    """Reference per-pixel compositor over depth-sorted Splat2D objects.
-
-    Walks the terms front to back at the continuous image point u, applying
-    the same cap/skip/stop rules as the image renderer. Used as the
-    single-pixel contract; the batched renderer must agree with it.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    color = np.zeros(3, dtype=np.float64)
-    trans = 1.0
-    for s in splats:
-        if options.use_thresholds and trans < STOP_TRANSMITTANCE:
-            break
-        a, b, c = s.cov2d
-        det = a * c - b * b
-        d = u - s.mean2d
-        power = -0.5 * (c * d[0] ** 2 - 2 * b * d[0] * d[1] + a * d[1] ** 2) / det
-        ahat = min(s.opacity * np.exp(power), ALPHA_CAP)
-        if options.use_thresholds and ahat < ALPHA_SKIP:
-            continue
-        color = color + s.color * (ahat * trans)
-        trans *= 1.0 - ahat
-    return color + trans * np.asarray(background, dtype=np.float64)
-
-
-def cull_and_activate(clusters, camera, options=DEFAULT_OPTIONS):
-    """Activation filter + projection for a list of DecodedCluster.
-
-    Slots with raw opacity <= 0 are dropped; survivors are projected and
-    splats whose contributing footprint misses the image are dropped.
-    Returns Splat2D objects in (cluster, slot) order.
-    """
-    means, quats, scales, opacity, colors, rows, slots = [], [], [], [], [], [], []
-    for i, cl in enumerate(clusters):
-        for k in np.nonzero(cl.active)[0]:
-            means.append(cl.means[k])
-            quats.append(cl.rotations[k])
-            scales.append(cl.scales[k])
-            opacity.append(cl.raw_opacity[k])
-            colors.append(cl.colors[k])
-            rows.append(i)
-            slots.append(int(k))
-    if not means:
-        return []
-    splats, _ = _project_and_cull(
-        camera,
-        np.asarray(means), np.asarray(quats), np.asarray(scales),
-        np.asarray(opacity), np.asarray(colors),
-        np.asarray(rows, dtype=np.int64), np.asarray(slots, dtype=np.int64),
-        options,
-    )
-    out = [
-        geom.Splat2D(
-            mean2d=splats.mean2d[n], cov2d=tuple(splats.cov[n]), depth=float(splats.depth[n]),
-            opacity=float(splats.opacity[n]), color=splats.color[n],
-            source=(int(splats.rows[n]), int(splats.slots[n])),
-        )
-        for n in range(splats.mean2d.shape[0])
-    ]
-    out.sort(key=lambda s: s.source)
-    return out
-
-
-def render_gaussians(gaussians, camera, background=(0.0, 0.0, 0.0), options=DEFAULT_OPTIONS):
+def render_gaussians(gaussians, camera, background=(0.0, 0.0, 0.0), use_thresholds=True):
     """Render a plain list of Gaussian3D (no scaffold, no decoder).
 
     Used by the synthetic-scene generator and by oracle tests; shares the
@@ -479,14 +407,14 @@ def render_gaussians(gaussians, camera, background=(0.0, 0.0, 0.0), options=DEFA
         np.array([g.opacity for g in gaussians], dtype=np.float64),
         np.stack([g.color for g in gaussians]),
         np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64),
-        options,
+        use_thresholds,
     )
-    image, _, _ = _composite_forward(splats, camera, background, options)
+    image, _, _ = _composite_forward(splats, camera, background, use_thresholds)
     return image
 
 
 def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0),
-           options=DEFAULT_OPTIONS, ablate=(False, False, False)):
+           use_thresholds=True, ablate=(False, False, False)):
     """Full forward render of the scaffold at timestamp t.
 
     ablate = (base, var, global) zeroes the matching feature component
@@ -500,21 +428,14 @@ def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0)
     d_b, d_v = scaffold.d_b, scaffold.d_v
     d_g = global_rows.shape[1]
 
-    base = np.zeros((V, d_b)) if ablate[0] else np.asarray(scaffold.f_base[vis], dtype=np.float64)
-    local = np.zeros((V, d_v)) if ablate[1] else reduce_periods_many(
-        np.asarray(scaffold.f_var[vis], dtype=np.float64), e)
-    if ablate[2]:
-        glob = np.zeros(d_g)
-    else:
-        glob = reduce_periods(np.asarray(global_rows, dtype=np.float64), e)
+    base = np.zeros((V, d_b)) if ablate[0] else scaffold.f_base[vis]
+    local = np.zeros((V, d_v)) if ablate[1] else reduce_periods_many(scaffold.f_var[vis], e)
+    glob = np.zeros(d_g) if ablate[2] else reduce_periods(global_rows, e)
     h = np.concatenate([base, local, np.broadcast_to(glob, (V, d_g))], axis=1)
 
     batch, dstate = decode_anchors(
-        scaffold.positions[vis],
-        np.asarray(scaffold.offsets[vis], dtype=np.float64),
-        np.asarray(scaffold.offset_scale[vis], dtype=np.float64),
-        np.asarray(scaffold.shape_scale[vis], dtype=np.float64),
-        h, camera, weights)
+        scaffold.positions[vis], scaffold.offsets[vis], scaffold.offset_scale[vis],
+        scaffold.shape_scale[vis], h, camera, weights)
 
     K = scaffold.K
     act_rows, act_slots = np.nonzero(batch.active)
@@ -526,14 +447,14 @@ def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0)
         batch.raw_opacity[act_rows, act_slots],
         batch.colors[act_rows, act_slots],
         act_rows.astype(np.int64), act_slots.astype(np.int64),
-        options,
+        use_thresholds,
     )
-    image, trans, stop = _composite_forward(splats, camera, background, options)
+    image, trans, stop = _composite_forward(splats, camera, background, use_thresholds)
 
     max_opacity = np.maximum(batch.raw_opacity, 0.0).max(axis=1) if V else np.zeros(0)
     return SimpleNamespace(
         image=image, background=background, camera=camera, t=float(t), encoding=e,
-        options=options, ablate=tuple(ablate),
+        use_thresholds=use_thresholds, ablate=tuple(ablate),
         visible=vis, n_anchors=len(scaffold),
         d_b=d_b, d_v=d_v, d_g=d_g, K=K, T=scaffold.T,
         h=h, decode_state=dstate, batch=batch, proj=proj,
@@ -557,7 +478,7 @@ def render_backward(graph, grad_image):
         raise MissingForwardState("render graph is missing its decode state")
     splats = graph.splats
     g_mean2d, g_cov, g_opacity_s, g_color_s = _composite_backward(
-        splats, graph.camera, graph.background, graph.options,
+        splats, graph.camera, graph.background, graph.use_thresholds,
         graph.final_trans, graph.stop, grad_image)
 
     V = graph.visible.shape[0]
@@ -570,15 +491,10 @@ def render_backward(graph, grad_image):
 
     M = splats.mean2d.shape[0]
     if M:
-        # Chain through the projection only for splats that were rasterized.
-        sub = SimpleNamespace(**{
-            key: getattr(graph.proj, key)[splats.proj_index]
-            for key in ("view", "mean2d", "depth", "cov", "quats", "scales", "Rq", "Mm",
-                        "t0", "t1", "v0", "v1", "txz", "tyz", "ctx", "cty", "tx", "ty",
-                        "inv_z", "inv_z2", "j00", "j02", "j11", "j12")
-        })
-        sub.R_cam = graph.proj.R_cam
-        sub.limx, sub.limy = graph.proj.limx, graph.proj.limy
+        # Chain through the projection only for splats that were rasterized:
+        # every field of graph.proj has one row per projected Gaussian.
+        sub = SimpleNamespace(**{key: value[splats.proj_index]
+                                 for key, value in vars(graph.proj).items()})
         g_means_w, g_quats_w, g_scales_w = geom.project_splats_backward(
             graph.camera, sub, g_mean2d, g_cov)
         r, s = splats.rows, splats.slots
@@ -596,7 +512,7 @@ def render_backward(graph, grad_image):
     w = graph.weights_ref
 
     def zero_like_head(head):
-        return MlpWeights(*[np.zeros_like(np.asarray(a, dtype=np.float64)) for a in head.arrays()])
+        return MlpWeights(*[np.zeros_like(a) for a in head.arrays()])
 
     out = SimpleNamespace(
         f_base=np.zeros((n, graph.d_b)),

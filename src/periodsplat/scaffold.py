@@ -23,18 +23,6 @@ from .geom import frustum_test_many
 
 
 @dataclass
-class Anchor:
-    """Single-anchor view into the scaffold arrays (no copies)."""
-
-    position: np.ndarray
-    f_base: np.ndarray
-    f_var: np.ndarray
-    offsets: np.ndarray
-    offset_scale: np.ndarray
-    shape_scale: np.ndarray
-
-
-@dataclass
 class AccumStats:
     """Per-slot and per-anchor training statistics between densify events."""
 
@@ -86,13 +74,6 @@ class AnchorScaffold:
     def d_v(self):
         return self.f_var.shape[2]
 
-    def anchor(self, i):
-        return Anchor(self.positions[i], self.f_base[i], self.f_var[i],
-                      self.offsets[i], self.offset_scale[i], self.shape_scale[i])
-
-    def cell_of(self, point):
-        return tuple(np.floor((np.asarray(point) - self.box_min) / self.voxel_size).astype(np.int64))
-
     def decoded_positions(self):
         """World centers of every offset slot: x_i + offset_scale_i * offsets_ik."""
         return self.positions[:, None, :] + self.offset_scale[:, None, :] * self.offsets
@@ -109,19 +90,23 @@ def voxel_cells(points, voxel_size, box_min, box_max=None):
     return cells
 
 
+def cell_centers(cells, voxel_size, box_min):
+    """World centers of grid cells."""
+    return (cells + 0.5) * voxel_size + box_min
+
+
 def voxelize(points, voxel_size):
-    """Deduplicated cell centers of the occupied voxels, in lexicographic
-    cell order. Centers are (cell + 0.5) * voxel_size + box_min."""
+    """The occupied cells of the grid whose origin box_min is the points'
+    minimum corner, deduplicated in lexicographic order. Returns
+    (box_min, cells)."""
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
         raise EmptyPointCloud("voxelize needs at least one point")
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
     box_min = points.min(axis=0)
-    cells = np.unique(voxel_cells(points, voxel_size, box_min, points.max(axis=0)), axis=0)
     # np.unique sorts rows lexicographically already.
-    centers = (cells + 0.5) * voxel_size + box_min
-    return centers
+    return box_min, np.unique(voxel_cells(points, voxel_size, box_min, points.max(axis=0)), axis=0)
 
 
 def voxel_size_for_points(points, fraction):
@@ -141,18 +126,12 @@ def init_scaffold(per_period_points, voxel_size, *, d_b, d_v, K):
     the number of per-period point lists.
     """
     T = len(per_period_points)
-    arrays = [np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in per_period_points]
-    nonempty = [a for a in arrays if a.size > 0]
-    if not nonempty:
-        raise EmptyPointCloud("all periods are empty")
-    points = np.concatenate(nonempty, axis=0)
-    box_min = points.min(axis=0)
-    cells = np.unique(voxel_cells(points, voxel_size, box_min, points.max(axis=0)), axis=0)
-    centers = (cells + 0.5) * voxel_size + box_min
-    n = centers.shape[0]
-    occupied = {tuple(c): i for i, c in enumerate(cells)}
+    points = [np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in per_period_points]
+    box_min, cells = voxelize(np.concatenate(points), voxel_size)
+    n = cells.shape[0]
+    occupied = {cell: i for i, cell in enumerate(map(tuple, cells.tolist()))}
     return AnchorScaffold(
-        positions=centers,
+        positions=cell_centers(cells, voxel_size, box_min),
         f_base=np.zeros((n, d_b), dtype=np.float64),
         f_var=np.zeros((n, T, d_v), dtype=np.float64),
         offsets=np.zeros((n, K, 3), dtype=np.float64),
@@ -205,10 +184,11 @@ def grow_anchors(scaffold, tau_g, min_visibility):
     if not hot.any():
         return 0
 
-    candidates = scaffold.decoded_positions()[hot]  # in (anchor, slot) order
+    # Candidate cells in (anchor, slot) order.
+    candidates = voxel_cells(scaffold.decoded_positions()[hot], scaffold.voxel_size,
+                             scaffold.box_min)
     new_cells = []
-    for pos in candidates:
-        cell = scaffold.cell_of(pos)
+    for cell in map(tuple, candidates.tolist()):
         if cell not in scaffold.occupied:
             scaffold.occupied[cell] = len(scaffold) + len(new_cells)
             new_cells.append(cell)
@@ -217,19 +197,16 @@ def grow_anchors(scaffold, tau_g, min_visibility):
     if not new_cells:
         return 0
 
-    centers = (np.asarray(new_cells, dtype=np.float64) + 0.5) * scaffold.voxel_size + scaffold.box_min
+    centers = cell_centers(np.asarray(new_cells), scaffold.voxel_size, scaffold.box_min)
     m = len(new_cells)
     scaffold.positions = np.concatenate([scaffold.positions, centers], axis=0)
-    scaffold.f_base = np.concatenate(
-        [scaffold.f_base, np.zeros((m, scaffold.d_b), dtype=scaffold.f_base.dtype)], axis=0)
+    scaffold.f_base = np.concatenate([scaffold.f_base, np.zeros((m, scaffold.d_b))], axis=0)
     scaffold.f_var = np.concatenate(
-        [scaffold.f_var, np.zeros((m, scaffold.T, scaffold.d_v), dtype=scaffold.f_var.dtype)], axis=0)
-    scaffold.offsets = np.concatenate(
-        [scaffold.offsets, np.zeros((m, scaffold.K, 3), dtype=scaffold.offsets.dtype)], axis=0)
-    fill = np.full((m, 3), scaffold.voxel_size, dtype=scaffold.offset_scale.dtype)
+        [scaffold.f_var, np.zeros((m, scaffold.T, scaffold.d_v))], axis=0)
+    scaffold.offsets = np.concatenate([scaffold.offsets, np.zeros((m, scaffold.K, 3))], axis=0)
+    fill = np.full((m, 3), scaffold.voxel_size)
     scaffold.offset_scale = np.concatenate([scaffold.offset_scale, fill], axis=0)
-    scaffold.shape_scale = np.concatenate(
-        [scaffold.shape_scale, fill.astype(scaffold.shape_scale.dtype)], axis=0)
+    scaffold.shape_scale = np.concatenate([scaffold.shape_scale, fill], axis=0)
     st.grad_norm_sum = np.concatenate([st.grad_norm_sum, np.zeros((m, scaffold.K))], axis=0)
     st.visible_count = np.concatenate([st.visible_count, np.zeros((m, scaffold.K), dtype=np.int64)], axis=0)
     st.opacity_sum = np.concatenate([st.opacity_sum, np.zeros(m)], axis=0)
@@ -262,9 +239,3 @@ def apply_keep_mask(scaffold, keep):
         }
     scaffold.stats = AccumStats.zeros(len(scaffold), scaffold.K)
     return removed
-
-
-def prune_anchors(scaffold, min_opacity, min_samples):
-    """Remove persistently transparent anchors; returns the count removed."""
-    keep = prune_keep_mask(scaffold, min_opacity, min_samples)
-    return apply_keep_mask(scaffold, keep)

@@ -1,10 +1,11 @@
-"""Period encodings and global-local temporal feature fusion.
+"""Period encodings and the reduction of period rows.
 
 A scene observed at T discrete periods carries three feature components:
 a per-anchor period-invariant base vector, a per-anchor T x d_v matrix of
 period rows, and a scene-wide T x d_g matrix. A timestamp t selects (integer
-t) or blends (fractional t) period rows through the encoding built here, and
-the three reduced components are concatenated into the decoder input.
+t) or blends (fractional t) period rows through the encoding built here;
+raster.render concatenates the three reduced components into the decoder
+input, and raster.render_backward holds the adjoint of that fusion.
 """
 
 from __future__ import annotations
@@ -68,31 +69,3 @@ def reduce_periods_many(M, e):
     if nz.size == 1 and e.weights[nz[0]] == 1.0:
         return M[:, nz[0], :].copy()
     return np.einsum("t,ntd->nd", e.weights, M)
-
-
-def fuse_features(base, local, global_rows, e):
-    """Concatenate the period-reduced components into the decoder input.
-
-    base is the (d_b,) period-invariant vector, local the (T, d_v) per-anchor
-    period rows, global_rows the (T, d_g) scene-wide rows.
-    """
-    return np.concatenate([np.asarray(base, dtype=np.float64),
-                           reduce_periods(local, e),
-                           reduce_periods(global_rows, e)])
-
-
-def fuse_backward(grad_h, e, d_b, d_v, d_g):
-    """Adjoint of fuse_features.
-
-    Splits the fused gradient back into (grad_base, grad_local, grad_global)
-    with period rows weighted by the encoding.
-    """
-    grad_h = np.asarray(grad_h, dtype=np.float64)
-    T = e.weights.shape[0]
-    grad_base = grad_h[:d_b].copy()
-    mid = grad_h[d_b:d_b + d_v]
-    tail = grad_h[d_b + d_v:d_b + d_v + d_g]
-    grad_local = e.weights[:, None] * mid[None, :]
-    grad_global = e.weights[:, None] * tail[None, :]
-    assert grad_local.shape == (T, d_v) and grad_global.shape == (T, d_g)
-    return grad_base, grad_local, grad_global

@@ -14,8 +14,8 @@ sections, trailing CRC-32, all tensors little-endian with floats widened to
 reproduces the file byte for byte.
 
 Reproducibility: the only randomness is a PCG64 generator seeded from the
-config; with --deterministic (and a fixed BLAS thread count) two runs
-produce bitwise-identical checkpoints.
+config; with a fixed BLAS thread count two runs produce bitwise-identical
+checkpoints.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import optim, raster, scaffold as scaffold_mod
-from .dataio import MultiPeriodDataset
+from . import raster
 from .decoder import DecoderWeights, MlpWeights, init_decoder_weights
 from .errors import (ConfigInvalid, CorruptChecksum, EmptyDataset, IoError,
                      VersionMismatch)
 from .optim import LrSchedule, ParamGroup, adam_step, hybrid_loss, psnr, ssim
 from .scaffold import (AnchorScaffold, accumulate_stats, apply_keep_mask,
-                       grow_anchors, init_scaffold, prune_keep_mask,
+                       grow_anchors, init_scaffold, prune_keep_mask, voxel_cells,
                        voxel_size_for_points)
 
 CHECKPOINT_MAGIC = b"CGS1"
@@ -67,14 +66,12 @@ class TrainConfig:
     min_visibility: int = 0  # 0 = half the densify interval
     prune_min_samples: int = 0  # 0 = half the densify interval
     seed: int = 0
-    deterministic: bool = False
     disable_base: bool = False
     disable_var: bool = False
     disable_global: bool = False
     background: tuple = (0.0, 0.0, 0.0)
     randomize_background: bool = False
     balance_periods: bool = False
-    dtype: str = "f64"  # parameter storage: "f64" | "f32"
     opacity_bias: float = 0.1
     log_interval: int = 10
     checkpoint_interval: int = 0  # 0 = final checkpoint only
@@ -93,8 +90,6 @@ class TrainConfig:
             raise ConfigInvalid("loss_lambda must lie in [0, 1]")
         if self.voxel_size < 0 or self.voxel_fraction <= 0:
             raise ConfigInvalid("voxel sizing must be positive")
-        if self.dtype not in ("f64", "f32"):
-            raise ConfigInvalid(f"unknown dtype {self.dtype!r}")
         if len(self.background) != 3 or any(not (0 <= b <= 1) for b in self.background):
             raise ConfigInvalid("background must be three values in [0, 1]")
         return self
@@ -122,6 +117,9 @@ class TrainConfig:
 
 
 _CONFIG_FIELDS = {f.name: f for f in fields(TrainConfig)}
+# Keys of deleted fields that the config text of older checkpoints still
+# holds; parsing skips them.
+_RETIRED_KEYS = ("deterministic", "dtype")
 
 
 def config_to_text(cfg):
@@ -141,7 +139,8 @@ def config_to_text(cfg):
 
 
 def config_from_text(text, base=None):
-    """Parse flat key=value lines; unknown keys are hard errors."""
+    """Parse flat key=value lines; unknown keys other than the retired ones
+    are hard errors."""
     cfg = base or TrainConfig()
     values = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -152,6 +151,8 @@ def config_from_text(text, base=None):
             raise ConfigInvalid(f"line {ln}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in _RETIRED_KEYS:
+            continue
         if key not in _CONFIG_FIELDS:
             raise ConfigInvalid(f"unknown config key {key!r}")
         ftype = _CONFIG_FIELDS[key].type
@@ -247,13 +248,9 @@ def init_state(config, dataset):
     spatial_lr_scale = 1.1 * (radius if radius > 0 else 1.0)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    dtype = np.float32 if config.dtype == "f32" else np.float64
     weights = init_decoder_weights(rng, config.d_b + config.d_v + config.d_g + 3,
-                                   config.d_f, config.K, config.opacity_bias, dtype)
-    global_g = np.zeros((dataset.T, config.d_g), dtype=dtype)
-    if dtype is np.float32:
-        for name in _ROW_GROUP_ARRAYS.values():
-            setattr(scaffold, name, getattr(scaffold, name).astype(np.float32))
+                                   config.d_f, config.K, config.opacity_bias)
+    global_g = np.zeros((dataset.T, config.d_g))
 
     groups = _build_groups(config, scaffold, global_g, weights, spatial_lr_scale)
     return TrainState(config, dataset.T, scaffold, global_g, weights, groups,
@@ -271,11 +268,10 @@ def _densify_due(config, iteration):
             and (iteration - config.densify_start) % config.densify_interval == 0)
 
 
-def render_from_state(state, camera, t, options=None):
+def render_from_state(state, camera, t):
     return raster.render(
         state.scaffold, camera, t, state.weights, state.global_g,
         background=np.asarray(state.config.background, dtype=np.float64),
-        options=options or raster.DEFAULT_OPTIONS,
         ablate=state.config.ablate)
 
 
@@ -602,18 +598,15 @@ def load_checkpoint(path):
 
     config = config_from_text(section("config").decode()).validate()
     meta = json_section("meta", ("T", "iteration", "spatial_lr_scale", "voxel_size"))
-    dtype = np.float32 if config.dtype == "f32" else np.float64
 
-    def tensor(name, cast=True):
-        arr = _decode_tensor(section(name))
-        return arr.astype(dtype) if cast and arr.dtype.kind == "f" else arr
+    def tensor(name):
+        return _decode_tensor(section(name))
 
-    positions = tensor("scaffold.positions", cast=False)
-    box_min = tensor("scaffold.box_min", cast=False)
+    positions = tensor("scaffold.positions")
+    box_min = tensor("scaffold.box_min")
     voxel = meta["voxel_size"]
-    occupied = {}
-    for i, p in enumerate(positions):
-        occupied[tuple(np.floor((p - box_min) / voxel).astype(np.int64))] = i
+    cells = voxel_cells(positions, voxel, box_min)
+    occupied = {cell: i for i, cell in enumerate(map(tuple, cells.tolist()))}
     scaffold = AnchorScaffold(
         positions=positions,
         f_base=tensor("scaffold.f_base"),
@@ -634,9 +627,9 @@ def load_checkpoint(path):
     for name in sorted(groups):
         group = groups[name]
         for i in range(len(group.params)):
-            group.m[i] = tensor(f"adam.{name}.{i}.m", cast=False)
-            group.v[i] = tensor(f"adam.{name}.{i}.v", cast=False)
-            step = tensor(f"adam.{name}.{i}.step", cast=False)
+            group.m[i] = tensor(f"adam.{name}.{i}.m")
+            group.v[i] = tensor(f"adam.{name}.{i}.v")
+            step = tensor(f"adam.{name}.{i}.step")
             group.step[i] = step if group.row_state else int(step)
 
     rng_meta = json_section("rng", ("state", "inc", "has_uint32", "uinteger"))

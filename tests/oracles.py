@@ -10,6 +10,7 @@ import numpy as np
 ALPHA_CAP = 0.99
 ALPHA_SKIP = 1.0 / 255.0
 STOP_T = 1e-4
+NEAR_PLANE = 0.01
 
 
 def quat_matrix_oracle(q):
@@ -36,6 +37,19 @@ def quat_matrix_oracle(q):
 def pinhole_oracle(fx, fy, cx, cy, point):
     x, y, z = point
     return np.array([fx * x / z + cx, fy * y / z + cy]), z
+
+
+def frustum_test(camera, point, margin=None):
+    """True when the point is in front of the camera and projects inside the
+    image bounds expanded by ``margin`` pixels (default 15% of the diagonal)."""
+    if margin is None:
+        margin = 0.15 * camera.image_diagonal()
+    view = camera.rotation_matrix() @ np.asarray(point, dtype=np.float64) + camera.translation
+    if view[2] <= NEAR_PLANE:
+        return False
+    px = camera.fx * view[0] / view[2] + camera.cx
+    py = camera.fy * view[1] / view[2] + camera.cy
+    return (-margin <= px <= camera.width + margin) and (-margin <= py <= camera.height + margin)
 
 
 def naive_composite_image(mean2d, cov, opacity, color, order, H, W, background,

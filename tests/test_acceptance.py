@@ -12,6 +12,7 @@ calibration values.
 
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from periodsplat.trainer import (TrainConfig, _densify_due, _next_camera, densif
                                  training_step)
 
 from conftest import identity_camera, micro_scene
-from oracles import naive_composite_image, psnr_oracle, ssim_oracle
+from oracles import naive_composite_image, pinhole_oracle, psnr_oracle, ssim_oracle
 
 SCENE_SPEC_PATH = "scenes/two_period_demo.json"
 E2E_ITERS = 800  # calibrated; well within the criterion's 5000 budget
@@ -187,10 +188,10 @@ def test_criterion_2_compositing_oracle():
         colors = np.stack([g.color for g in gaussians])
         idx = np.nonzero(front)[0]
         order = idx[np.lexsort((idx, proj.depth[front]))]
-        on = raster.render_gaussians(gaussians, cam, bg, raster.RenderOptions(True))
+        on = raster.render_gaussians(gaussians, cam, bg, use_thresholds=True)
         ref_on = naive_composite_image(proj.mean2d, proj.cov, opac, colors, order,
                                        16, 16, bg, True, use_stop=False)
-        off = raster.render_gaussians(gaussians, cam, bg, raster.RenderOptions(False))
+        off = raster.render_gaussians(gaussians, cam, bg, use_thresholds=False)
         ref_off = naive_composite_image(proj.mean2d, proj.cov, opac, colors, order,
                                         16, 16, bg, False)
         worst_on = max(worst_on, float(np.abs(on - ref_on).max()))
@@ -241,16 +242,17 @@ def test_criterion_4_geometry_activation(rng):
 
     def run(keep):
         keep = np.asarray(keep)
-        act = keep[raws[keep] > 0]
-        opts = raster.RenderOptions(True)
         splats, proj = raster._project_and_cull(
-            cam, means[act], quats[act], scales[act], raws[act], colors[act],
-            act.astype(np.int64), np.zeros(act.size, dtype=np.int64), opts)
-        image, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), opts)
-        back = raster._composite_backward(splats, cam, np.zeros(3), opts, trans, stop,
+            cam, means[keep], quats[keep], scales[keep], raws[keep], colors[keep],
+            keep.astype(np.int64), np.zeros(keep.size, dtype=np.int64), True)
+        image, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), True)
+        back = raster._composite_backward(splats, cam, np.zeros(3), True, trans, stop,
                                           grad_image)
+        # The projection rows of the rasterized splats, as render_backward takes them.
+        rows = SimpleNamespace(**{key: value[splats.proj_index]
+                                  for key, value in vars(proj).items()})
         g_means, g_quats, g_scales = geom.project_splats_backward(
-            cam, proj, back[0], back[1]) if splats.mean2d.shape[0] else (None,) * 3
+            cam, rows, back[0], back[1]) if splats.mean2d.shape[0] else (None,) * 3
         return splats, image, back, (g_means, g_quats, g_scales)
 
     with_slot = run([0, 1, 2, 3])
@@ -281,8 +283,8 @@ def test_criterion_5_convergence(e2e):
 # criterion 6: disentanglement
 
 def _primitive_region(cam, prim, radius_sigmas):
-    view = geom.world_to_view(cam, prim.mean)
-    pix, depth = geom.project_mean(cam, view)
+    view = cam.rotation_matrix() @ prim.mean + cam.translation
+    pix, depth = pinhole_oracle(cam.fx, cam.fy, cam.cx, cam.cy, view)
     r = radius_sigmas * cam.fx * float(np.max(prim.scale)) / depth
     return pix, r
 
@@ -379,7 +381,7 @@ def test_criterion_9_determinism_persistence(tmp_path):
     cfg = TrainConfig.desk_preset(
         total_iters=60, warmup_end=5, stats_start=5, stats_end=15,
         densify_start=15, densify_end=40, densify_interval=10,
-        voxel_fraction=0.06, seed=9, deterministic=True, log_interval=0)
+        voxel_fraction=0.06, seed=9, log_interval=0)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_checkpoint(train(cfg, dataset), p1)
     save_checkpoint(train(cfg, dataset), p2)

@@ -44,7 +44,7 @@ def workspace(tmp_path_factory):
         "densify_start=15\ndensify_end=40\ndensify_interval=10\n"
         "voxel_fraction=0.06\nseed=3\nlog_interval=10\n")
     code = cli.main(["train", "--data", str(data_dir), "--out", str(ckpt),
-                     "--config", str(config), "--deterministic"])
+                     "--config", str(config)])
     assert code == 0
     return root, spec_path, data_dir, ckpt, config
 
@@ -259,11 +259,20 @@ def test_inspect_crc_valid_fault_exit_3(workspace, tmp_path, fault):
 
 
 @pytest.mark.parametrize("argv", [["--threads", "3", "inspect", "--ckpt", "x"],
-                                  ["--threads=3", "inspect", "--ckpt", "x"]])
+                                  ["--threads=3", "inspect", "--ckpt", "x"],
+                                  ["inspect", "--ckpt", "x"]])
 def test_threads_flag_pins_blas_both_forms(argv, monkeypatch):
+    """The flag wins in both forms; without it an unset thread variable
+    becomes 1 and a preset one is kept."""
     names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS")
-    for var in names:
-        monkeypatch.setenv(var, "7")
-    cli._set_threads(argv)
-    assert [os.environ[var] for var in names] == ["3"] * 4
+    flagged = any(arg.startswith("--threads") for arg in argv)
+    for preset, unflagged in (("7", "7"), (None, "1")):
+        for var in names:
+            if preset is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, preset)
+        cli._set_threads(argv)
+        expected = "3" if flagged else unflagged
+        assert [os.environ[var] for var in names] == [expected] * 4

@@ -7,7 +7,7 @@ import pytest
 from periodsplat import dataio
 from periodsplat.errors import (NonContiguousPeriods, ParseError, SpecInvalid,
                                 UnknownImage, UnsupportedCameraModel, MissingFile)
-from periodsplat.geom import Camera, project_mean, quat_normalize, world_to_view
+from periodsplat.geom import Camera, project_splats, quat_normalize
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_generate_single_primitive_projection_check(tmp_path):
     assert len(ds.cameras) == 8
     blob = spec.primitives[1]
     for cam in ds.cameras:
-        pix, _ = project_mean(cam, world_to_view(cam, blob.mean))
+        pix = project_splats(cam, blob.mean[None], blob.rotation[None], blob.scale[None]).mean2d[0]
         ix, iy = int(pix[0]), int(pix[1])
         patch = ds.images[cam.id][max(0, iy - 1):iy + 2, max(0, ix - 1):ix + 2]
         # the red blob dominates its projection neighborhood
@@ -199,7 +199,7 @@ def test_generate_lifespan_semantics(tmp_path):
     cam0 = [c for c in ds.cameras if c.period == 0][0]
     cam1 = [c for c in ds.cameras if c.period == 1][2]
     for cam, present in ((cam0, False), (cam1, True)):
-        pix, _ = project_mean(cam, world_to_view(cam, blob.mean))
+        pix = project_splats(cam, blob.mean[None], blob.rotation[None], blob.scale[None]).mean2d[0]
         ix, iy = int(pix[0]), int(pix[1])
         red = ds.images[cam.id][iy, ix, 0]
         if present:
@@ -248,6 +248,19 @@ def test_generate_load_round_trip(tmp_path):
         assert np.abs(back.images[cid] - img).max() <= 1.0 / 510 + 1e-12
     for a, b in zip(ds.per_period_points, back.per_period_points):
         np.testing.assert_allclose(a, b, atol=1e-9)
+
+
+def test_short_period_point_line_names_path_and_line(tmp_path):
+    dataio.generate_synthetic(single_blob_spec(T=2), tmp_path / "ds")
+    path = os.path.join(tmp_path / "ds", "points3D_1.txt")
+    with open(path, "a") as f:
+        f.write("99 0.5 0.25\n")
+    with open(path) as f:
+        line = len(f.readlines())
+    with pytest.raises(ParseError) as err:
+        dataio.load_dataset(tmp_path / "ds")
+    assert (err.value.path, err.value.line) == (path, line)
+    assert f"{path}:{line}:" in str(err.value)
 
 
 def test_generate_anchor_count_vs_primitives(tmp_path):

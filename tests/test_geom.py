@@ -1,22 +1,27 @@
 import numpy as np
-import pytest
 
-from periodsplat import geom
-from periodsplat.errors import BehindCamera
+from periodsplat import geom, raster
 
 from conftest import identity_camera
 from oracles import pinhole_oracle, quat_matrix_oracle
 
 
+def project_one(cam, point, rotation=(1.0, 0.0, 0.0, 0.0), scale=(0.1, 0.1, 0.1)):
+    """project_splats of a single Gaussian."""
+    return geom.project_splats(cam, np.asarray(point, dtype=np.float64)[None],
+                               geom.quat_normalize(rotation)[None],
+                               np.asarray(scale, dtype=np.float64)[None])
+
+
 def test_world_to_view_identity():
     cam = identity_camera(z_offset=0.0)
-    out = geom.world_to_view(cam, np.array([1.0, 2.0, 3.0]))
+    out = project_one(cam, [1.0, 2.0, 3.0]).view[0]
     np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
 
 
 def test_world_to_view_translation():
     cam = identity_camera(z_offset=5.0)
-    out = geom.world_to_view(cam, np.zeros(3))
+    out = project_one(cam, np.zeros(3)).view[0]
     np.testing.assert_array_equal(out, [0.0, 0.0, 5.0])
 
 
@@ -25,10 +30,10 @@ def test_world_to_view_yaw_matches_quaternion_oracle():
     q = np.array([np.cos(np.pi / 4), 0.0, 0.0, np.sin(np.pi / 4)])
     cam = identity_camera(z_offset=0.0)
     cam.rotation = q
-    expected = quat_matrix_oracle(q) @ np.array([1.0, 0.0, 0.0])
-    out = geom.world_to_view(cam, np.array([1.0, 0.0, 0.0]))
+    expected = quat_matrix_oracle(q) @ np.array([1.0, 0.0, 2.0])
+    out = project_one(cam, [1.0, 0.0, 2.0]).view[0]
     np.testing.assert_allclose(out, expected, atol=1e-12)
-    np.testing.assert_allclose(out, [0.0, 1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(out, [0.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_quat_to_rotmat_matches_oracle(rng):
@@ -49,19 +54,24 @@ def test_rotmat_quat_round_trip(rng):
 def test_project_mean_on_axis():
     cam = identity_camera(width=64, height=64, fx=100.0, fy=100.0, z_offset=0.0)
     cam.cx = cam.cy = 32.0
-    pixel, depth = geom.project_mean(cam, np.array([0.0, 0.0, 2.0]))
-    np.testing.assert_array_equal(pixel, [32.0, 32.0])
-    assert depth == 2.0
-    pixel, depth = geom.project_mean(cam, np.array([1.0, 0.0, 2.0]))
-    np.testing.assert_array_equal(pixel, [82.0, 32.0])
+    proj = project_one(cam, [0.0, 0.0, 2.0])
+    np.testing.assert_array_equal(proj.mean2d[0], [32.0, 32.0])
+    assert proj.depth[0] == 2.0
+    np.testing.assert_array_equal(project_one(cam, [1.0, 0.0, 2.0]).mean2d[0], [82.0, 32.0])
 
 
 def test_project_mean_behind_camera():
+    """Points on or behind the near plane are culled before projection."""
     cam = identity_camera(z_offset=0.0)
-    with pytest.raises(BehindCamera):
-        geom.project_mean(cam, np.array([0.0, 0.0, 0.0]))
-    with pytest.raises(BehindCamera):
-        geom.project_mean(cam, np.array([0.0, 0.0, -1.0]))
+    means = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, geom.NEAR_PLANE],
+                      [0.0, 0.0, 2.0]])
+    n = means.shape[0]
+    splats, proj = raster._project_and_cull(
+        cam, means, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.full((n, 3), 0.1),
+        np.full(n, 0.5), np.full((n, 3), 0.5), np.arange(n), np.zeros(n, dtype=np.int64),
+        True)
+    assert splats.rows.tolist() == [3]
+    assert proj.depth.tolist() == [2.0]
 
 
 def test_project_mean_matches_pinhole_oracle(rng):
@@ -69,18 +79,17 @@ def test_project_mean_matches_pinhole_oracle(rng):
     cam.cx, cam.cy = 19.5, 14.5
     for _ in range(50):
         p = rng.normal(size=3) * [0.5, 0.5, 0.2] + [0, 0, 3.0]
-        pixel, depth = geom.project_mean(cam, p)
+        proj = project_one(cam, p)
         exp_pixel, exp_depth = pinhole_oracle(cam.fx, cam.fy, cam.cx, cam.cy, p)
-        np.testing.assert_allclose(pixel, exp_pixel, atol=1e-12)
-        assert abs(depth - exp_depth) < 1e-12
+        np.testing.assert_allclose(proj.mean2d[0], exp_pixel, atol=1e-12)
+        assert abs(proj.depth[0] - exp_depth) < 1e-12
 
 
 def test_project_covariance_on_axis_isotropic():
     cam = identity_camera(width=64, height=64, fx=100.0, fy=100.0, z_offset=0.0)
     cam.cx = cam.cy = 32.0
     s, z = 0.07, 2.0
-    a, b, c = geom.project_covariance(cam, np.array([0.0, 0.0, z]),
-                                      np.array([1.0, 0, 0, 0]), np.array([s, s, s]))
+    a, b, c = project_one(cam, [0.0, 0.0, z], scale=[s, s, s]).cov[0]
     expected = (cam.fx * s / z) ** 2 + geom.COV_DILATION
     assert abs(a - expected) < 1e-12 and abs(c - expected) < 1e-12
     assert abs(b) < 1e-12
@@ -88,22 +97,21 @@ def test_project_covariance_on_axis_isotropic():
 
 def test_project_covariance_zero_scale_limit():
     cam = identity_camera(z_offset=0.0)
-    a, b, c = geom.project_covariance(cam, np.array([0.2, -0.1, 2.0]),
-                                      np.array([1.0, 0, 0, 0]),
-                                      np.array([1e-12, 1e-12, 1e-12]))
+    a, b, c = project_one(cam, [0.2, -0.1, 2.0], scale=[1e-12, 1e-12, 1e-12]).cov[0]
     np.testing.assert_allclose([a, b, c], [geom.COV_DILATION, 0.0, geom.COV_DILATION],
                                atol=1e-15)
 
 
 def test_project_covariance_matches_numerical_jacobian(rng):
     """EWA output equals J_num Sigma_view J_num^T + dilation, with J_num from
-    central differences of the pinhole map at the view mean."""
+    central differences of the pinhole map at the view mean (the camera sits
+    at the world origin, so world and view coordinates agree)."""
     cam = identity_camera(width=48, height=36, fx=50.0, fy=44.0, z_offset=0.0)
     for _ in range(20):
         view = rng.normal(size=3) * [0.3, 0.3, 0.2] + [0, 0, 2.5]
         q = geom.quat_normalize(rng.normal(size=4))
         s = rng.uniform(0.05, 0.3, size=3)
-        a, b, c = geom.project_covariance(cam, view, q, s)
+        a, b, c = project_one(cam, view, q, s).cov[0]
 
         R = quat_matrix_oracle(q)
         sigma_world = R @ np.diag(s ** 2) @ R.T
@@ -132,14 +140,14 @@ def test_project_covariance_positive_definite(rng):
         view = rng.normal(size=3) * [1.0, 1.0, 0.5] + [0, 0, 3.0]
         q = geom.quat_normalize(rng.normal(size=4))
         s = 10.0 ** rng.uniform(-4, 0.5, size=3)
-        a, b, c = geom.project_covariance(cam, view, q, s)
+        a, b, c = project_one(cam, view, q, s).cov[0]
         assert a > 0 and a * c - b * b > 0
 
 
 def test_frustum_center_and_behind():
     cam = identity_camera(z_offset=0.0)
-    assert geom.frustum_test(cam, np.array([0.0, 0.0, 2.0]))
-    assert not geom.frustum_test(cam, np.array([0.0, 0.0, -2.0]))
+    assert geom.frustum_test_many(cam, np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]])).tolist() \
+        == [True, False]
 
 
 def test_frustum_margin():
@@ -147,12 +155,11 @@ def test_frustum_margin():
     diag = cam.image_diagonal()
     # Point projecting 5% of the diagonal outside the border: inside the 15% margin.
     x_pix = 100 + 0.05 * diag
-    point = np.array([(x_pix - cam.cx) / cam.fx * 2.0, 0.0, 2.0])
-    assert geom.frustum_test(cam, point)
+    inside = [(x_pix - cam.cx) / cam.fx * 2.0, 0.0, 2.0]
     # 20% outside: rejected.
     x_pix = 100 + 0.20 * diag
-    point = np.array([(x_pix - cam.cx) / cam.fx * 2.0, 0.0, 2.0])
-    assert not geom.frustum_test(cam, point)
+    outside = [(x_pix - cam.cx) / cam.fx * 2.0, 0.0, 2.0]
+    assert geom.frustum_test_many(cam, np.array([inside, outside])).tolist() == [True, False]
 
 
 def test_projection_rigid_invariance(rng):
@@ -174,11 +181,10 @@ def test_projection_rigid_invariance(rng):
 
     for _ in range(20):
         p = rng.normal(size=3) * 0.4
-        pix1, depth1 = geom.project_mean(cam, geom.world_to_view(cam, p))
-        p2 = Q @ p + d
-        pix2, depth2 = geom.project_mean(cam2, geom.world_to_view(cam2, p2))
-        np.testing.assert_allclose(pix1, pix2, atol=1e-9)
-        assert abs(depth1 - depth2) < 1e-9
+        proj1 = project_one(cam, p)
+        proj2 = project_one(cam2, Q @ p + d)
+        np.testing.assert_allclose(proj1.mean2d, proj2.mean2d, atol=1e-9)
+        assert abs(proj1.depth[0] - proj2.depth[0]) < 1e-9
 
 
 def test_project_splats_backward_finite_difference(rng):

@@ -42,7 +42,7 @@ def random_gaussians(rng, m, spread=0.5):
     return out
 
 
-def project_gaussians(gaussians, cam, opts):
+def project_gaussians(gaussians, cam, use_thresholds):
     m = len(gaussians)
     splats, _ = raster._project_and_cull(
         cam,
@@ -51,20 +51,27 @@ def project_gaussians(gaussians, cam, opts):
         np.stack([g.scale for g in gaussians]),
         np.array([g.opacity for g in gaussians]),
         np.stack([g.color for g in gaussians]),
-        np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64), opts)
+        np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64), use_thresholds)
+    return splats
+
+
+def cull_cluster(cluster, cam):
+    """_project_and_cull over every slot of one decoded cluster."""
+    K = cluster.raw_opacity.shape[0]
+    splats, _ = raster._project_and_cull(
+        cam, cluster.means, cluster.rotations, cluster.scales, cluster.raw_opacity,
+        cluster.colors, np.zeros(K, dtype=np.int64), np.arange(K), True)
     return splats
 
 
 # ---------------------------------------------------------------------------
-# cull_and_activate
+# culling
 
 def test_cull_drops_inactive_keeps_active():
     cam = identity_camera()
-    cluster = make_cluster([-0.3, 0.7], [[0, 0, 0], [0.1, 0, 0]])
-    splats = raster.cull_and_activate([cluster], cam)
-    assert len(splats) == 1
-    assert splats[0].opacity == pytest.approx(0.7)
-    assert splats[0].source == (0, 1)
+    splats = cull_cluster(make_cluster([-0.3, 0.7], [[0, 0, 0], [0.1, 0, 0]]), cam)
+    assert splats.opacity.tolist() == [0.7]
+    assert (splats.rows[0], splats.slots[0]) == (0, 1)
 
 
 def test_cull_matches_brute_force_count(rng):
@@ -74,66 +81,47 @@ def test_cull_matches_brute_force_count(rng):
         raws = rng.uniform(-1, 1, size=K)
         means = rng.normal(size=(K, 3)) * [1.5, 1.5, 0.3]
         cluster = make_cluster(raws, means, scales=0.05)
-        splats = raster.cull_and_activate([cluster], cam)
+        splats = cull_cluster(cluster, cam)
+        proj = geom.project_splats(cam, means, cluster.rotations, cluster.scales)
         expected = 0
         for k in range(K):
             if raws[k] <= 0:
                 continue
-            view = geom.world_to_view(cam, means[k])
-            if view[2] <= geom.NEAR_PLANE:
+            if proj.view[k, 2] <= geom.NEAR_PLANE:
                 continue
-            a, b, c = geom.project_covariance(cam, view, np.array([1.0, 0, 0, 0]),
-                                              np.full(3, 0.05))
-            pix, _ = geom.project_mean(cam, view)
+            a, b, c = proj.cov[k]
+            pix = proj.mean2d[k]
             r2 = raster._footprint_radius_sq(np.array([raws[k]]), True)[0]
             rx, ry = np.sqrt(r2 * a), np.sqrt(r2 * c)
             on = (pix[0] + rx >= 0.5 and pix[0] - rx <= cam.width - 0.5
                   and pix[1] + ry >= 0.5 and pix[1] - ry <= cam.height - 0.5)
             expected += int(on)
-        assert len(splats) == expected
+        assert splats.mean2d.shape[0] == expected
 
 
 # ---------------------------------------------------------------------------
-# composite_pixel
+# closed forms at the centre pixel, through render_gaussians
+
+def centred_gaussian(z, opacity, color):
+    """A Gaussian on the optical axis; on a 9x9 identity camera it projects
+    onto the centre of pixel (4, 4)."""
+    return geom.Gaussian3D(mean=np.array([0.0, 0.0, z]), rotation=np.array([1.0, 0, 0, 0]),
+                           scale=np.full(3, 0.1), opacity=opacity, color=color)
+
 
 def test_composite_single_capped_splat():
-    s = geom.Splat2D(mean2d=np.array([4.0, 4.0]), cov2d=(2.0, 0.0, 2.0), depth=1.0,
-                     opacity=1.0, color=np.array([0.2, 0.4, 0.8]))
-    out = raster.composite_pixel([s], np.array([4.0, 4.0]), np.zeros(3))
-    np.testing.assert_allclose(out, 0.99 * np.array([0.2, 0.4, 0.8]), atol=1e-15)
+    cam = identity_camera(width=9, height=9)
+    color = np.array([0.2, 0.4, 0.8])
+    image = raster.render_gaussians([centred_gaussian(0.0, 1.0, color)], cam, np.zeros(3))
+    np.testing.assert_allclose(image[4, 4], 0.99 * color, atol=1e-15)
 
 
 def test_composite_two_splats_expansion():
+    cam = identity_camera(width=9, height=9)
     c1, c2, bg = np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0])
-    splats = [
-        geom.Splat2D(mean2d=np.array([4.0, 4.0]), cov2d=(2.0, 0.0, 2.0), depth=1.0,
-                     opacity=0.5, color=c1),
-        geom.Splat2D(mean2d=np.array([4.0, 4.0]), cov2d=(2.0, 0.0, 2.0), depth=2.0,
-                     opacity=0.5, color=c2),
-    ]
-    out = raster.composite_pixel(splats, np.array([4.0, 4.0]), bg)
-    np.testing.assert_allclose(out, 0.5 * c1 + 0.25 * c2 + 0.25 * bg, atol=1e-15)
-
-
-def test_composite_pixel_matches_naive(rng):
-    for _ in range(20):
-        m = int(rng.integers(1, 30))
-        mean2d = rng.uniform(-2, 10, size=(m, 2))
-        raw = rng.normal(size=(m, 2, 2))
-        cov = np.einsum("mij,mkj->mik", raw, raw) + np.eye(2) * 0.3
-        cov3 = np.stack([cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]], axis=1)
-        opac = rng.uniform(0.01, 1.0, size=m)
-        color = rng.uniform(0, 1, size=(m, 3))
-        depth = rng.uniform(1, 5, size=m)
-        order = np.argsort(depth)
-        splats = [geom.Splat2D(mean2d=mean2d[n], cov2d=tuple(cov3[n]), depth=depth[n],
-                               opacity=opac[n], color=color[n]) for n in order]
-        u = rng.uniform(0, 8, size=2)
-        got = raster.composite_pixel(splats, u, np.array([0.1, 0.2, 0.3]))
-        # shift means so the oracle's pixel center (0.5, 0.5) lands on u
-        ref = naive_composite_image(mean2d + (np.array([0.5, 0.5]) - u), cov3, opac,
-                                    color, order, 1, 1, [0.1, 0.2, 0.3], True)[0, 0]
-        np.testing.assert_allclose(got, ref, atol=1e-12)
+    gaussians = [centred_gaussian(0.0, 0.5, c2), centred_gaussian(-1.0, 0.5, c1)]
+    image = raster.render_gaussians(gaussians, cam, bg)
+    np.testing.assert_allclose(image[4, 4], 0.5 * c1 + 0.25 * c2 + 0.25 * bg, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +135,7 @@ def test_render_matches_naive_oracle(rng, use_thresholds, tol):
     bg = np.array([0.05, 0.1, 0.2])
     for _ in range(10):
         gaussians = random_gaussians(rng, int(rng.integers(1, 50)))
-        opts = raster.RenderOptions(use_thresholds=use_thresholds)
-        img = raster.render_gaussians(gaussians, cam, bg, opts)
+        img = raster.render_gaussians(gaussians, cam, bg, use_thresholds)
         means = np.stack([g.mean for g in gaussians])
         quats = np.stack([geom.quat_normalize(g.rotation) for g in gaussians])
         scales = np.stack([g.scale for g in gaussians])
@@ -180,8 +167,8 @@ def test_skipping_soundness(rng):
             scale=rng.uniform(0.02, 0.08, size=3),
             opacity=rng.uniform(0.02, 1.0),
             color=rng.uniform(0, 1, size=3)) for c in centers]
-        on = raster.render_gaussians(gaussians, cam, bg, raster.RenderOptions(True))
-        off = raster.render_gaussians(gaussians, cam, bg, raster.RenderOptions(False))
+        on = raster.render_gaussians(gaussians, cam, bg, use_thresholds=True)
+        off = raster.render_gaussians(gaussians, cam, bg, use_thresholds=False)
         assert np.abs(on - off).max() < 5e-3
 
 
@@ -240,9 +227,8 @@ def test_transmittance_telescoping(rng):
     """Final transmittance equals the product of (1 - ahat) over composited
     terms, recomputed independently per pixel."""
     cam = identity_camera(width=8, height=8, fx=10.0, fy=10.0, z_offset=2.0)
-    opts = raster.RenderOptions(True)
-    splats = project_gaussians(random_gaussians(rng, 12, spread=0.3), cam, opts)
-    _, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), opts)
+    splats = project_gaussians(random_gaussians(rng, 12, spread=0.3), cam, True)
+    _, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), True)
     ref_trans, ref_stop = per_pixel_transmittance(splats, 8, 8)
     np.testing.assert_array_equal(stop, ref_stop)
     assert np.abs(trans - ref_trans).max() < 1e-12
@@ -295,14 +281,13 @@ def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
     and with one so small that it spans several windows and width groups."""
     H, W = 16, 20
     cam = identity_camera(width=W, height=H, fx=18.0, fy=18.0, z_offset=2.0)
-    opts = raster.RenderOptions(use_thresholds)
     scenes = [raster._empty_splats(), buried_splats(rng, H, W)]
     for trial in range(12):
         gaussians = random_gaussians(rng, int(rng.integers(1, 60)))
         if trial % 3 == 0:  # opaque enough that some pixels stop
             for g in gaussians:
                 g.opacity = rng.uniform(0.9, 1.0)
-        scenes.append(project_gaussians(gaussians, cam, opts))
+        scenes.append(project_gaussians(gaussians, cam, use_thresholds))
 
     stopped = buried = several_windows = several_groups = 0
     for splats in scenes:
@@ -323,10 +308,11 @@ def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
 
         for window_px in (raster.WINDOW_PX, 256, 48):
             monkeypatch.setattr(raster, "WINDOW_PX", window_px)
-            got = raster._composite_forward(splats, cam, bg, opts)
+            got = raster._composite_forward(splats, cam, bg, use_thresholds)
             for a, b in zip(got, ref):
                 assert a.tobytes() == b.tobytes()
-            got = raster._composite_backward(splats, cam, bg, opts, trans, stop, grad_image)
+            got = raster._composite_backward(splats, cam, bg, use_thresholds, trans, stop,
+                                             grad_image)
             for a, b in zip(got, ref_grads):
                 assert a.shape == b.shape
                 assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
@@ -366,7 +352,6 @@ def test_transmittance_early_out_forward_and_gradients(rng):
     every compositing gradient matches central differences."""
     H = W = 12
     cam = identity_camera(width=W, height=H)
-    opts = raster.RenderOptions(True)
     M = 8
     mean2d = np.array([6.5, 6.5]) + rng.uniform(-1.5, 1.5, size=(M, 2))
     mean2d[[0, 2]] = 6.5
@@ -385,7 +370,7 @@ def test_transmittance_early_out_forward_and_gradients(rng):
                                bbox=bbox, conic=np.stack([c / det, -b / det, a / det], axis=1))
 
     def forward():
-        return raster._composite_forward(splats_of(), cam, bg, opts)
+        return raster._composite_forward(splats_of(), cam, bg, True)
 
     splats = splats_of()
     _, trans, stop = forward()
@@ -395,7 +380,7 @@ def test_transmittance_early_out_forward_and_gradients(rng):
     assert (stop < M).sum() >= 20 and (stop == M).sum() >= 20
     assert stop[6, 6] > 2  # both capped terms were composited
 
-    grads = raster._composite_backward(splats, cam, bg, opts, trans, stop, grad_image)
+    grads = raster._composite_backward(splats, cam, bg, True, trans, stop, grad_image)
     h = 1e-5
     for arr, grad in zip((mean2d, cov, opacity, color), grads):
         flat, gflat = arr.reshape(-1), grad.reshape(-1)
@@ -434,16 +419,15 @@ def test_backward_single_splat_color_gradient():
     g = geom.Gaussian3D(mean=np.zeros(3), rotation=np.array([1.0, 0, 0, 0]),
                         scale=np.array([0.2, 0.2, 0.2]), opacity=0.8,
                         color=np.array([0.5, 0.5, 0.5]))
-    opts = raster.RenderOptions(True)
     splats, proj = raster._project_and_cull(
         cam, g.mean[None], np.array([[1.0, 0, 0, 0]]), g.scale[None],
         np.array([g.opacity]), g.color[None],
-        np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), opts)
-    image, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), opts)
+        np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), True)
+    image, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), True)
     grad_image = np.zeros((8, 8, 3))
     grad_image[:, :, 0] = 1.0
     _, _, _, g_color = raster._composite_backward(
-        splats, cam, np.zeros(3), opts, trans, stop, grad_image)
+        splats, cam, np.zeros(3), True, trans, stop, grad_image)
     # sum of ahat over pixels where it was composited
     xs, ys = np.arange(8) + 0.5, np.arange(8) + 0.5
     A, B, C = splats.conic[0]
@@ -478,14 +462,13 @@ def test_activation_gate_flip_removes_contribution(rng):
     def run(raws):
         cluster = make_cluster(raws, means, colors=colors, scales=0.12)
         act = np.nonzero(cluster.active)[0]
-        opts = raster.RenderOptions(True)
         splats, _ = raster._project_and_cull(
             cam, cluster.means[act], cluster.rotations[act], cluster.scales[act],
             cluster.raw_opacity[act], cluster.colors[act],
-            act.astype(np.int64), np.zeros(act.size, dtype=np.int64), opts)
-        image, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), opts)
+            act.astype(np.int64), np.zeros(act.size, dtype=np.int64), True)
+        image, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), True)
         gi = np.ones((12, 12, 3))
-        back = raster._composite_backward(splats, cam, np.zeros(3), opts, trans, stop, gi)
+        back = raster._composite_backward(splats, cam, np.zeros(3), True, trans, stop, gi)
         return splats, image, back
 
     splats_pos, img_pos, back_pos = run(raws_pos)

@@ -3,17 +3,22 @@ import pytest
 
 from periodsplat import scaffold as sc
 from periodsplat.errors import EmptyPointCloud
-from periodsplat.geom import frustum_test
 
 from conftest import identity_camera
+from oracles import frustum_test
 
 
 def make_scaffold(points_lists, voxel=0.5, d_b=4, d_v=4, K=3):
     return sc.init_scaffold(points_lists, voxel, d_b=d_b, d_v=d_v, K=K)
 
 
+def voxel_centers(points, voxel):
+    box_min, cells = sc.voxelize(points, voxel)
+    return sc.cell_centers(cells, voxel, box_min)
+
+
 def test_voxelize_single_point():
-    centers = sc.voxelize(np.array([[0.2, 0.3, 0.4]]), 1.0)
+    centers = voxel_centers(np.array([[0.2, 0.3, 0.4]]), 1.0)
     assert centers.shape == (1, 3)
     cell = np.floor((np.array([0.2, 0.3, 0.4]) - centers[0] + 0.5))
     np.testing.assert_array_equal(cell, 0)
@@ -21,7 +26,7 @@ def test_voxelize_single_point():
 
 def test_voxelize_dedup():
     pts = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 0.2]])
-    assert sc.voxelize(pts, 1.0).shape == (1, 3)
+    assert voxel_centers(pts, 1.0).shape == (1, 3)
 
 
 def test_voxelize_empty_raises():
@@ -33,7 +38,7 @@ def test_voxelize_uniform_brute_force(rng):
     pts = rng.uniform(0, 1, size=(1000, 3))
     extent = pts.max(axis=0) - pts.min(axis=0)
     voxel = float(extent.max()) / 4
-    centers = sc.voxelize(pts, voxel)
+    centers = voxel_centers(pts, voxel)
     assert centers.shape[0] <= 64
     # brute-force membership with the same clamped binning
     box_min, box_max = pts.min(axis=0), pts.max(axis=0)
@@ -44,8 +49,8 @@ def test_voxelize_uniform_brute_force(rng):
 
 def test_voxelize_deterministic_order(rng):
     pts = rng.uniform(-2, 2, size=(200, 3))
-    c1 = sc.voxelize(pts, 0.5)
-    c2 = sc.voxelize(pts[::-1].copy(), 0.5)
+    c1 = voxel_centers(pts, 0.5)
+    c2 = voxel_centers(pts[::-1].copy(), 0.5)
     np.testing.assert_array_equal(c1, c2)
 
 
@@ -211,14 +216,14 @@ def test_prune_above_threshold_no_removal(rng):
     s = make_scaffold([rng.uniform(0, 1, size=(8, 3))], voxel=0.2)
     s.stats.opacity_sum[:] = 10.0
     s.stats.sample_count[:] = 20
-    assert sc.prune_anchors(s, min_opacity=0.005, min_samples=10) == 0
+    assert sc.apply_keep_mask(s, sc.prune_keep_mask(s, min_opacity=0.005, min_samples=10)) == 0
 
 
 def test_prune_insufficient_evidence_retained(rng):
     s = make_scaffold([rng.uniform(0, 1, size=(8, 3))], voxel=0.2)
     s.stats.opacity_sum[:] = 0.0
     s.stats.sample_count[:] = 3  # below min_samples
-    assert sc.prune_anchors(s, min_opacity=0.005, min_samples=10) == 0
+    assert sc.apply_keep_mask(s, sc.prune_keep_mask(s, min_opacity=0.005, min_samples=10)) == 0
 
 
 def test_prune_removes_transparent_anchor(rng):
@@ -227,7 +232,7 @@ def test_prune_removes_transparent_anchor(rng):
     s.stats.sample_count[:] = 40
     s.stats.opacity_sum[:] = 40 * 0.5
     s.stats.opacity_sum[4] = 40 * 0.001  # mean opacity 0.001 < 0.005
-    removed = sc.prune_anchors(s, min_opacity=0.005, min_samples=20)
+    removed = sc.apply_keep_mask(s, sc.prune_keep_mask(s, min_opacity=0.005, min_samples=20))
     assert removed == 1 and len(s) == n - 1
     # stats reset after the event
     assert not s.stats.sample_count.any()
@@ -242,8 +247,8 @@ def test_voxel_uniqueness_after_grow_prune(rng):
         s.stats.sample_count[:] = 60
         s.stats.opacity_sum[:] = rng.uniform(0, 60 * 0.02, size=len(s))
         sc.grow_anchors(s, tau_g=2e-4, min_visibility=10)
-        sc.prune_anchors(s, min_opacity=0.005, min_samples=20)
-        cells = [s.cell_of(p) for p in s.positions]
+        sc.apply_keep_mask(s, sc.prune_keep_mask(s, min_opacity=0.005, min_samples=20))
+        cells = list(map(tuple, sc.voxel_cells(s.positions, s.voxel_size, s.box_min).tolist()))
         assert len(set(cells)) == len(cells)
         assert set(s.occupied.keys()) == set(cells)
         assert all(s.occupied[c] == i for i, c in enumerate(cells))
@@ -259,7 +264,7 @@ def test_grow_prune_deterministic(rng):
         s.stats.sample_count[:] = 60
         s.stats.opacity_sum[:] = r.uniform(0, 60 * 0.02, size=len(s))
         sc.grow_anchors(s, tau_g=2e-4, min_visibility=10)
-        sc.prune_anchors(s, min_opacity=0.005, min_samples=20)
+        sc.apply_keep_mask(s, sc.prune_keep_mask(s, min_opacity=0.005, min_samples=20))
         return s
     a, b = build(99), build(99)
     np.testing.assert_array_equal(a.positions, b.positions)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from periodsplat import temporal
+from periodsplat import raster, temporal
 from periodsplat.errors import OutOfRange, ShapeMismatch
+
+from conftest import central_difference, identity_camera, micro_scene
 
 
 def test_encode_integer_one_hot():
@@ -80,87 +82,101 @@ def test_reduce_shape_mismatch(rng):
         temporal.reduce_periods(rng.normal(size=(3, 4)), temporal.encode_time(1, 4))
 
 
-def test_fuse_zero_features():
-    e = temporal.encode_time(1, 3)
-    h = temporal.fuse_features(np.zeros(16), np.zeros((3, 16)), np.zeros((3, 32)), e)
-    assert h.shape == (64,)
-    assert not h.any()
+# ---------------------------------------------------------------------------
+# feature fusion, as raster.render and raster.render_backward run it
+
+ABLATIONS = [(True, False, False), (False, True, False), (False, False, True)]
+
+
+def fused(rng, t, ablate=(False, False, False), use_thresholds=True):
+    """micro_scene rendered at t: the scene, the render graph, and the base,
+    var and global blocks of the decoder input."""
+    scaffold, weights, global_g = micro_scene(rng)
+    graph = raster.render(scaffold, identity_camera(), t, weights, global_g,
+                          background=np.array([0.1, 0.15, 0.2]),
+                          use_thresholds=use_thresholds, ablate=ablate)
+    assert graph.visible.size == len(scaffold)
+    h, d_b, d_v = graph.h, scaffold.d_b, scaffold.d_v
+    blocks = (h[:, :d_b], h[:, d_b:d_b + d_v], h[:, d_b + d_v:])
+    return (scaffold, weights, global_g), graph, blocks
+
+
+def test_fuse_zero_features(rng):
+    scaffold, weights, global_g = micro_scene(rng)
+    for arr in (scaffold.f_base, scaffold.f_var, global_g):
+        arr[:] = 0.0
+    for t in (0, 0.4, 1):
+        h = raster.render(scaffold, identity_camera(), t, weights, global_g).h
+        assert h.shape == (len(scaffold), scaffold.d_b + scaffold.d_v + global_g.shape[1])
+        assert not h.any()
 
 
 def test_fuse_one_hot_concatenates_rows_bitwise(rng):
-    base = rng.normal(size=5)
-    local = rng.normal(size=(3, 4))
-    glob = rng.normal(size=(3, 6))
-    e = temporal.encode_time(2, 3)
-    h = temporal.fuse_features(base, local, glob, e)
-    assert h[:5].tobytes() == base.tobytes()
-    assert h[5:9].tobytes() == local[2].tobytes()
-    assert h[9:].tobytes() == glob[2].tobytes()
+    (scaffold, _, global_g), _, (base, local, glob) = fused(rng, 1)
+    assert base.tobytes() == scaffold.f_base.tobytes()
+    assert local.tobytes() == np.ascontiguousarray(scaffold.f_var[:, 1]).tobytes()
+    assert glob.tobytes() == np.tile(global_g[1], (len(scaffold), 1)).tobytes()
 
 
 def test_fuse_fractional_matches_hand_computation(rng):
-    base = rng.normal(size=3)
-    local = rng.normal(size=(2, 4))
-    glob = rng.normal(size=(2, 5))
-    e = temporal.encode_time(0.25, 2)
-    h = temporal.fuse_features(base, local, glob, e)
-    np.testing.assert_allclose(h, np.concatenate([
-        base, 0.75 * local[0] + 0.25 * local[1], 0.75 * glob[0] + 0.25 * glob[1]]),
-        atol=1e-15)
-
-
-def test_fuse_backward_one_hot_lands_in_row(rng):
-    e = temporal.encode_time(1, 3)
-    gh = rng.normal(size=12)
-    gb, gl, gg = temporal.fuse_backward(gh, e, 4, 4, 4)
-    np.testing.assert_array_equal(gb, gh[:4])
-    assert not gl[0].any() and not gl[2].any()
-    np.testing.assert_array_equal(gl[1], gh[4:8])
-    np.testing.assert_array_equal(gg[1], gh[8:])
+    (scaffold, _, global_g), _, (base, local, glob) = fused(rng, 0.25)
+    np.testing.assert_array_equal(base, scaffold.f_base)
+    np.testing.assert_allclose(local, 0.75 * scaffold.f_var[:, 0] + 0.25 * scaffold.f_var[:, 1],
+                               atol=1e-15)
+    np.testing.assert_allclose(glob, np.tile(0.75 * global_g[0] + 0.25 * global_g[1],
+                                             (len(scaffold), 1)), atol=1e-15)
 
 
 def test_fuse_backward_zero():
-    e = temporal.encode_time(0.4, 2)
-    gb, gl, gg = temporal.fuse_backward(np.zeros(10), e, 2, 4, 4)
-    assert not gb.any() and not gl.any() and not gg.any()
+    """Each ablation flag zeroes its block of the decoder input, and only it,
+    and the gradients of the ablated component are exactly zero."""
+    _, _, full = fused(np.random.default_rng(5), 0.6)
+    for ablate in ABLATIONS:
+        _, graph, blocks = fused(np.random.default_rng(5), 0.6, ablate)
+        grads = raster.render_backward(graph, np.ones(graph.image.shape))
+        grads = (grads.f_base, grads.f_var, grads.g)
+        for off, block, ref, grad in zip(ablate, blocks, full, grads):
+            assert not block.any() if off else block.tobytes() == ref.tobytes()
+            assert not grad.any() if off else grad.any()
+
+
+def test_fuse_backward_one_hot_lands_in_row(rng):
+    """At an integer timestamp the period gradients land in that period's rows only."""
+    _, graph, _ = fused(rng, 1)
+    grads = raster.render_backward(graph, rng.normal(size=graph.image.shape))
+    assert not grads.f_var[:, 0].any() and grads.f_var[:, 1].any()
+    assert not grads.g[0].any() and grads.g[1].any()
+
+
+def fusion_gradient_error(rng, t, ablate=(False, False, False), h=1e-5):
+    """Worst |fd - analytic| / max(1, |fd|) over f_base, f_var and g, with
+    central differences of <G, image> through render against the gradient
+    from render_backward. The render runs with the thresholds off: a pixel's
+    alpha crossing the skip threshold moves the image by about 1/255, and a
+    perturbation of h can make one cross (a difference of -199 against 0.178
+    was seen). The fusion and its adjoint are the same code either way."""
+    (scaffold, weights, global_g), graph, _ = fused(rng, t, ablate, use_thresholds=False)
+    G = rng.normal(size=graph.image.shape)
+    grads = raster.render_backward(graph, G)
+
+    def loss():
+        return float(np.vdot(G, raster.render(scaffold, graph.camera, t, weights, global_g,
+                                               graph.background, False, ablate).image))
+
+    worst = 0.0
+    for arr, grad in ((scaffold.f_base, grads.f_base), (scaffold.f_var, grads.f_var),
+                      (global_g, grads.g)):
+        for i, fd in central_difference(loss, arr, range(arr.size), h).items():
+            worst = max(worst, abs(fd - grad.reshape(-1)[i]) / max(1.0, abs(fd)))
+    return worst
 
 
 def test_fuse_backward_central_difference(rng):
-    d_b, d_v, d_g, T = 3, 4, 5, 3
-    base = rng.normal(size=d_b)
-    local = rng.normal(size=(T, d_v))
-    glob = rng.normal(size=(T, d_g))
-    e = temporal.encode_time(1.3, T)
-    gh = rng.normal(size=d_b + d_v + d_g)
-    gb, gl, gg = temporal.fuse_backward(gh, e, d_b, d_v, d_g)
-
-    def loss():
-        return float(gh @ temporal.fuse_features(base, local, glob, e))
-
-    h = 1e-6
-    for arr, grad in ((base, gb), (local, gl), (glob, gg)):
-        flat, gflat = arr.reshape(-1), grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = loss()
-            flat[i] = orig - h
-            fm = loss()
-            flat[i] = orig
-            fd = (fp - fm) / (2 * h)
-            assert abs(fd - gflat[i]) <= 1e-6 * max(1.0, abs(fd))
+    """The fusion adjoint inside render_backward at fractional timestamps."""
+    assert max(fusion_gradient_error(rng, t) for t in (0.3, 0.75)) <= 1e-6
 
 
 def test_fuse_backward_exact_adjoint(rng):
-    """<g, J v> == <J^T g, v> to 1e-12 for random directions."""
-    d_b, d_v, d_g, T = 4, 5, 6, 3
-    e = temporal.encode_time(rng.uniform(0, T - 1), T)
-    for _ in range(50):
-        vb = rng.normal(size=d_b)
-        vl = rng.normal(size=(T, d_v))
-        vg = rng.normal(size=(T, d_g))
-        gh = rng.normal(size=d_b + d_v + d_g)
-        lhs = float(gh @ temporal.fuse_features(vb, vl, vg, e))
-        gb, gl, gg = temporal.fuse_backward(gh, e, d_b, d_v, d_g)
-        rhs = float((gb * vb).sum() + (gl * vl).sum() + (gg * vg).sum())
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    """The fusion adjoint with each ablation flag, at t = 0.3 and 0.75."""
+    assert max(fusion_gradient_error(rng, t, ablate)
+               for ablate in ABLATIONS for t in (0.3, 0.75)) <= 1e-6

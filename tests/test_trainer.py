@@ -50,8 +50,6 @@ def test_config_validation():
         tr.TrainConfig(total_iters=100, densify_start=50, densify_end=200).validate()
     with pytest.raises(ConfigInvalid):
         tr.TrainConfig(loss_lambda=1.5).validate()
-    with pytest.raises(ConfigInvalid):
-        tr.TrainConfig(dtype="f16").validate()
     tr.TrainConfig().validate()
 
 
@@ -235,6 +233,34 @@ def test_checkpoint_flipped_byte(tiny_dataset, tmp_path):
         tr.load_checkpoint(bad)
 
 
+def test_checkpoint_with_retired_config_keys(tiny_dataset, tmp_path, capsys):
+    """Checkpoints written before the deterministic and dtype fields were
+    deleted still hold them in their config text; they load, render and
+    inspect like a current one, while any other unknown key stays an error."""
+    from periodsplat import cli
+
+    state, path = train_briefly(tiny_dataset, tmp_path, iters=0)
+    old = tmp_path / "old.ckpt"
+
+    def add_retired(sections):
+        sections["config"] += b"deterministic=true\ndtype=f64\n"
+
+    rewrite_checkpoint(path, old, add_retired)
+    loaded = tr.load_checkpoint(old)
+    assert loaded.config == state.config
+    cam = tiny_dataset.test_cameras()[0]
+    assert (tr.render_from_state(loaded, cam, 0.5).image.tobytes()
+            == tr.render_from_state(tr.load_checkpoint(path), cam, 0.5).image.tobytes())
+    assert cli.main(["inspect", "--ckpt", str(old)]) == 0
+    assert "deterministic" not in capsys.readouterr().out
+
+    unknown = tmp_path / "unknown.ckpt"
+    rewrite_checkpoint(path, unknown,
+                       lambda sections: sections.update(config=sections["config"] + b"fp16=1\n"))
+    with pytest.raises(ConfigInvalid):
+        tr.load_checkpoint(unknown)
+
+
 @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
 def test_checkpoint_crc_valid_faults(tiny_dataset, tmp_path, fault):
     """A section missing, an unknown dtype code or a payload shorter than its
@@ -250,8 +276,8 @@ def test_checkpoint_crc_valid_faults(tiny_dataset, tmp_path, fault):
 
 
 def test_deterministic_training_bitwise(tiny_dataset, tmp_path):
-    _, p1 = train_briefly(tiny_dataset, tmp_path, name="d1", deterministic=True, seed=5)
-    _, p2 = train_briefly(tiny_dataset, tmp_path, name="d2", deterministic=True, seed=5)
+    _, p1 = train_briefly(tiny_dataset, tmp_path, name="d1", seed=5)
+    _, p2 = train_briefly(tiny_dataset, tmp_path, name="d2", seed=5)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -266,18 +292,6 @@ def test_metric_log_records(tiny_dataset, tmp_path):
     assert {"iter", "total", "l1", "ssim", "anchors"} <= set(iter_records[0])
     assert "eval" in records[-1]
     assert "per_period" in records[-1]["eval"]
-
-
-def test_f32_storage_option(tiny_dataset):
-    cfg = tiny_config(dtype="f32", total_iters=5)
-    state = tr.init_state(cfg, tiny_dataset)
-    assert state.scaffold.f_base.dtype == np.float32
-    assert state.weights.opacity.W1.dtype == np.float32
-    for it in range(5):
-        cam = tr._next_camera(state, tiny_dataset)
-        report = tr.training_step(state, cam, tiny_dataset.images[cam.id])
-        assert np.isfinite(report.total)
-    assert state.scaffold.f_base.dtype == np.float32
 
 
 _NO_SCIPY_SCRIPT = """
