@@ -208,7 +208,7 @@ def project_splats(camera, means, quats, scales):
     of the near plane.
     """
     R_cam = camera.rotation_matrix()
-    view = means @ R_cam.T + camera.translation
+    view = world_to_view_many(camera, means)
     x, y, z = view[:, 0], view[:, 1], view[:, 2]
     inv_z = 1.0 / z
 

@@ -210,6 +210,18 @@ class ParamGroup:
             else:
                 self.step = [0 for _ in self.params]
 
+    def resize_rows(self, param, added, keep):
+        """Follow a grow and a prune of the one array of a row_state group:
+        rebind the group to the resized array, append `added` zero rows to
+        m, v and step, then keep the rows where keep is True."""
+        def resize(a):
+            return np.concatenate([a, np.zeros((added,) + a.shape[1:], dtype=a.dtype)])[keep]
+
+        self.params = [param]
+        self.m = [resize(self.m[0])]
+        self.v = [resize(self.v[0])]
+        self.step = [resize(self.step[0])]
+
 
 def adam_step(group, grads, step):
     """One Adam update on every array of the group.

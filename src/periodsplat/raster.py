@@ -91,9 +91,7 @@ def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots
     opacity, colors, rows, slots = opacity[keep], colors[keep], rows[keep], slots[keep]
 
     if means.shape[0]:
-        R_cam = camera.rotation_matrix()
-        z = means @ R_cam[2] + camera.translation[2]
-        front = z > geom.NEAR_PLANE
+        front = geom.world_to_view_many(camera, means)[:, 2] > geom.NEAR_PLANE
         means, quats, scales = means[front], quats[front], scales[front]
         opacity, colors, rows, slots = opacity[front], colors[front], rows[front], slots[front]
 

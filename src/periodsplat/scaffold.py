@@ -7,9 +7,12 @@ per-axis scales. Training statistics drive mid-training growth (new anchors
 at high-gradient decoded positions) and pruning (persistently transparent
 anchors).
 
-Structure-of-arrays layout: row i of every array belongs to anchor i. At
-most one anchor ever occupies a voxel cell; the grid (box_min, voxel_size)
-is fixed at construction so grown anchors land on the same lattice.
+Structure-of-arrays layout: row i of every array named in ROW_FIELDS
+belongs to anchor i, and that tuple is the one list of them that init,
+grow, prune, the optimizer's row state and checkpoints follow. At most one
+anchor ever occupies a voxel cell; the grid (box_min, voxel_size) is fixed
+at construction so grown anchors land on the same lattice, and the occupied
+cells follow from the positions.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ import numpy as np
 
 from .errors import EmptyPointCloud
 from .geom import frustum_test_many
+
+# The per-anchor arrays of AnchorScaffold, in checkpoint order.
+ROW_FIELDS = ("positions", "f_base", "f_var", "offsets", "offset_scale", "shape_scale")
 
 
 @dataclass
@@ -43,7 +49,7 @@ class AccumStats:
 
 class AnchorScaffold:
     def __init__(self, positions, f_base, f_var, offsets, offset_scale, shape_scale,
-                 voxel_size, box_min, occupied):
+                 voxel_size, box_min):
         self.positions = positions
         self.f_base = f_base
         self.f_var = f_var
@@ -52,7 +58,6 @@ class AnchorScaffold:
         self.shape_scale = shape_scale
         self.voxel_size = float(voxel_size)
         self.box_min = np.asarray(box_min, dtype=np.float64)
-        self.occupied = occupied  # cell tuple -> anchor index
         self.stats = AccumStats.zeros(len(positions), offsets.shape[1])
 
     def __len__(self):
@@ -118,29 +123,28 @@ def voxel_size_for_points(points, fraction):
     return fraction * diag
 
 
-def init_scaffold(per_period_points, voxel_size, *, d_b, d_v, K):
-    """Build the scaffold from the union of all periods' sparse points.
+def _fresh_rows(cells, voxel_size, box_min, *, T, d_b, d_v, K):
+    """Row arrays of new anchors at the centres of the given cells: zero
+    features and offsets, and both per-axis scales at the voxel size."""
+    n = cells.shape[0]
+    return dict(
+        positions=cell_centers(cells, voxel_size, box_min),
+        f_base=np.zeros((n, d_b)),
+        f_var=np.zeros((n, T, d_v)),
+        offsets=np.zeros((n, K, 3)),
+        offset_scale=np.full((n, 3), float(voxel_size)),
+        shape_scale=np.full((n, 3), float(voxel_size)),
+    )
 
-    One zero-featured anchor per occupied voxel cell; offsets start at zero
-    and both per-anchor scales start at the voxel size on every axis. T is
-    the number of per-period point lists.
-    """
-    T = len(per_period_points)
+
+def init_scaffold(per_period_points, voxel_size, *, d_b, d_v, K):
+    """Build the scaffold from the union of all periods' sparse points:
+    one fresh anchor per occupied voxel cell. T is the number of per-period
+    point lists."""
     points = [np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in per_period_points]
     box_min, cells = voxelize(np.concatenate(points), voxel_size)
-    n = cells.shape[0]
-    occupied = {cell: i for i, cell in enumerate(map(tuple, cells.tolist()))}
-    return AnchorScaffold(
-        positions=cell_centers(cells, voxel_size, box_min),
-        f_base=np.zeros((n, d_b), dtype=np.float64),
-        f_var=np.zeros((n, T, d_v), dtype=np.float64),
-        offsets=np.zeros((n, K, 3), dtype=np.float64),
-        offset_scale=np.full((n, 3), voxel_size, dtype=np.float64),
-        shape_scale=np.full((n, 3), voxel_size, dtype=np.float64),
-        voxel_size=voxel_size,
-        box_min=box_min,
-        occupied=occupied,
-    )
+    rows = _fresh_rows(cells, voxel_size, box_min, T=len(points), d_b=d_b, d_v=d_v, K=K)
+    return AnchorScaffold(**rows, voxel_size=voxel_size, box_min=box_min)
 
 
 def visible_anchors(scaffold, camera, margin=None):
@@ -185,32 +189,25 @@ def grow_anchors(scaffold, tau_g, min_visibility):
         return 0
 
     # Candidate cells in (anchor, slot) order.
-    candidates = voxel_cells(scaffold.decoded_positions()[hot], scaffold.voxel_size,
-                             scaffold.box_min)
+    voxel, box_min = scaffold.voxel_size, scaffold.box_min
+    candidates = voxel_cells(scaffold.decoded_positions()[hot], voxel, box_min)
+    occupied = set(map(tuple, voxel_cells(scaffold.positions, voxel, box_min).tolist()))
     new_cells = []
     for cell in map(tuple, candidates.tolist()):
-        if cell not in scaffold.occupied:
-            scaffold.occupied[cell] = len(scaffold) + len(new_cells)
+        if cell not in occupied:
+            occupied.add(cell)
             new_cells.append(cell)
     st.grad_norm_sum[hot] = 0.0
     st.visible_count[hot] = 0
     if not new_cells:
         return 0
 
-    centers = cell_centers(np.asarray(new_cells), scaffold.voxel_size, scaffold.box_min)
     m = len(new_cells)
-    scaffold.positions = np.concatenate([scaffold.positions, centers], axis=0)
-    scaffold.f_base = np.concatenate([scaffold.f_base, np.zeros((m, scaffold.d_b))], axis=0)
-    scaffold.f_var = np.concatenate(
-        [scaffold.f_var, np.zeros((m, scaffold.T, scaffold.d_v))], axis=0)
-    scaffold.offsets = np.concatenate([scaffold.offsets, np.zeros((m, scaffold.K, 3))], axis=0)
-    fill = np.full((m, 3), scaffold.voxel_size)
-    scaffold.offset_scale = np.concatenate([scaffold.offset_scale, fill], axis=0)
-    scaffold.shape_scale = np.concatenate([scaffold.shape_scale, fill], axis=0)
-    st.grad_norm_sum = np.concatenate([st.grad_norm_sum, np.zeros((m, scaffold.K))], axis=0)
-    st.visible_count = np.concatenate([st.visible_count, np.zeros((m, scaffold.K), dtype=np.int64)], axis=0)
-    st.opacity_sum = np.concatenate([st.opacity_sum, np.zeros(m)], axis=0)
-    st.sample_count = np.concatenate([st.sample_count, np.zeros(m, dtype=np.int64)], axis=0)
+    rows = _fresh_rows(np.asarray(new_cells), voxel, box_min,
+                      T=scaffold.T, d_b=scaffold.d_b, d_v=scaffold.d_v, K=scaffold.K)
+    for owner, new in ((scaffold, rows), (st, vars(AccumStats.zeros(m, scaffold.K)))):
+        for name, arr in new.items():
+            setattr(owner, name, np.concatenate([getattr(owner, name), arr]))
     return m
 
 
@@ -227,15 +224,7 @@ def apply_keep_mask(scaffold, keep):
     """Drop anchors where keep is False; resets all statistics."""
     removed = int((~keep).sum())
     if removed:
-        scaffold.positions = scaffold.positions[keep]
-        scaffold.f_base = scaffold.f_base[keep]
-        scaffold.f_var = scaffold.f_var[keep]
-        scaffold.offsets = scaffold.offsets[keep]
-        scaffold.offset_scale = scaffold.offset_scale[keep]
-        scaffold.shape_scale = scaffold.shape_scale[keep]
-        old_to_new = np.cumsum(keep) - 1
-        scaffold.occupied = {
-            cell: int(old_to_new[idx]) for cell, idx in scaffold.occupied.items() if keep[idx]
-        }
+        for name in ROW_FIELDS:
+            setattr(scaffold, name, getattr(scaffold, name)[keep])
     scaffold.stats = AccumStats.zeros(len(scaffold), scaffold.K)
     return removed

@@ -32,12 +32,11 @@ import numpy as np
 
 from . import raster
 from .decoder import DecoderWeights, MlpWeights, init_decoder_weights
-from .errors import (ConfigInvalid, CorruptChecksum, EmptyDataset, IoError,
-                     VersionMismatch)
+from .errors import (ConfigInvalid, CorruptChecksum, EmptyDataset, InternalError,
+                     IoError, VersionMismatch)
 from .optim import LrSchedule, ParamGroup, adam_step, hybrid_loss, psnr, ssim
-from .scaffold import (AnchorScaffold, accumulate_stats, apply_keep_mask,
-                       grow_anchors, init_scaffold, prune_keep_mask, voxel_cells,
-                       voxel_size_for_points)
+from .scaffold import (ROW_FIELDS, AnchorScaffold, accumulate_stats, apply_keep_mask,
+                       grow_anchors, init_scaffold, prune_keep_mask, voxel_size_for_points)
 
 CHECKPOINT_MAGIC = b"CGS1"
 
@@ -219,15 +218,6 @@ def _build_groups(config, scaffold, global_g, weights, spatial_lr_scale):
     return groups
 
 
-_ROW_GROUP_ARRAYS = {
-    "offsets": "offsets",
-    "offset_scale": "offset_scale",
-    "shape_scale": "shape_scale",
-    "f_base": "f_base",
-    "f_var": "f_var",
-}
-
-
 def init_state(config, dataset):
     config.validate()
     if not dataset.cameras:
@@ -276,7 +266,11 @@ def render_from_state(state, camera, t):
 
 
 def training_step(state, camera, image):
-    """One forward/backward/update cycle at the camera's own period."""
+    """One forward/backward/update cycle at the camera's own period.
+
+    A non-finite loss or gradient raises InternalError before anything is
+    updated.
+    """
     cfg = state.config
     background = np.asarray(cfg.background, dtype=np.float64)
     if cfg.randomize_background:
@@ -284,29 +278,22 @@ def training_step(state, camera, image):
     graph = raster.render(state.scaffold, camera, camera.period, state.weights,
                           state.global_g, background=background, ablate=cfg.ablate)
     report, grad_image = hybrid_loss(graph.image, image, cfg.loss_lambda)
+    if not math.isfinite(report.total):
+        raise InternalError(f"non-finite loss {report.total} at iteration {state.iteration}")
     grads = raster.render_backward(graph, grad_image)
+    # A row group's gradient carries the name of its scaffold array.
+    grad_map = {name: [getattr(grads, name)] for name, g in state.groups.items() if g.row_state}
+    grad_map.update(global_g=[grads.g], mlp_opacity=grads.opacity_mlp.arrays(),
+                    mlp_covariance=grads.covariance_mlp.arrays(),
+                    mlp_color=grads.color_mlp.arrays())
+    for name, arrays in grad_map.items():
+        if not all(np.isfinite(g).all() for g in arrays):
+            raise InternalError(f"non-finite gradient in group {name!r} "
+                                f"at iteration {state.iteration}")
 
     if _stats_enabled(cfg, state.iteration):
         accumulate_stats(state.scaffold, graph, grads)
-
-    grad_map = {
-        "offsets": [grads.offsets],
-        "offset_scale": [grads.offset_scale],
-        "shape_scale": [grads.shape_scale],
-        "f_base": [grads.f_base],
-        "f_var": [grads.f_var],
-        "global_g": [grads.g],
-        "mlp_opacity": grads.opacity_mlp.arrays(),
-        "mlp_covariance": grads.covariance_mlp.arrays(),
-        "mlp_color": grads.color_mlp.arrays(),
-    }
-    frozen = set()
-    if cfg.disable_base:
-        frozen.add("f_base")
-    if cfg.disable_var:
-        frozen.add("f_var")
-    if cfg.disable_global:
-        frozen.add("global_g")
+    frozen = {name for name, off in zip(("f_base", "f_var", "global_g"), cfg.ablate) if off}
     for name, group in state.groups.items():
         if name in frozen:
             continue
@@ -316,36 +303,16 @@ def training_step(state, camera, image):
     return report
 
 
-def _resize_row_groups_after_grow(state, added):
-    if added == 0:
-        return
-    for name, attr in _ROW_GROUP_ARRAYS.items():
-        group = state.groups[name]
-        param = getattr(state.scaffold, attr)
-        pad = np.zeros((added,) + param.shape[1:], dtype=np.float64)
-        group.params = [param]
-        group.m = [np.concatenate([group.m[0], pad], axis=0)]
-        group.v = [np.concatenate([group.v[0], pad.copy()], axis=0)]
-        group.step = [np.concatenate([group.step[0], np.zeros(added, dtype=np.int64)])]
-
-
-def _slice_row_groups(state, keep):
-    for name, attr in _ROW_GROUP_ARRAYS.items():
-        group = state.groups[name]
-        group.params = [getattr(state.scaffold, attr)]
-        group.m = [group.m[0][keep]]
-        group.v = [group.v[0][keep]]
-        group.step = [group.step[0][keep]]
-
-
 def densify(state):
-    """One grow + prune event; keeps optimizer state aligned with the scaffold."""
+    """One grow + prune event; keeps optimizer state aligned with the scaffold.
+    Each row_state group is named after the scaffold array it updates."""
     cfg = state.config
     added = grow_anchors(state.scaffold, cfg.tau_g, cfg.grow_visibility())
-    _resize_row_groups_after_grow(state, added)
     keep = prune_keep_mask(state.scaffold, cfg.min_opacity, cfg.prune_samples())
     removed = apply_keep_mask(state.scaffold, keep)
-    _slice_row_groups(state, keep if removed else np.ones(len(state.scaffold), dtype=bool))
+    for group in state.groups.values():
+        if group.row_state:
+            group.resize_rows(getattr(state.scaffold, group.name), added, keep)
     return added, removed
 
 
@@ -498,13 +465,9 @@ def _checkpoint_sections(state):
         ("config", config_to_text(cfg).encode()),
         ("meta", json.dumps(meta, sort_keys=True).encode()),
         ("rng", rng_blob.encode()),
-        ("scaffold.positions", _encode_tensor(state.scaffold.positions)),
+        *((f"scaffold.{name}", _encode_tensor(getattr(state.scaffold, name)))
+          for name in ROW_FIELDS),
         ("scaffold.box_min", _encode_tensor(state.scaffold.box_min)),
-        ("scaffold.f_base", _encode_tensor(state.scaffold.f_base)),
-        ("scaffold.f_var", _encode_tensor(state.scaffold.f_var)),
-        ("scaffold.offsets", _encode_tensor(state.scaffold.offsets)),
-        ("scaffold.offset_scale", _encode_tensor(state.scaffold.offset_scale)),
-        ("scaffold.shape_scale", _encode_tensor(state.scaffold.shape_scale)),
         ("global.g", _encode_tensor(state.global_g)),
     ]
     for head_name in ("opacity", "color", "covariance"):
@@ -602,20 +565,9 @@ def load_checkpoint(path):
     def tensor(name):
         return _decode_tensor(section(name))
 
-    positions = tensor("scaffold.positions")
-    box_min = tensor("scaffold.box_min")
-    voxel = meta["voxel_size"]
-    cells = voxel_cells(positions, voxel, box_min)
-    occupied = {cell: i for i, cell in enumerate(map(tuple, cells.tolist()))}
-    scaffold = AnchorScaffold(
-        positions=positions,
-        f_base=tensor("scaffold.f_base"),
-        f_var=tensor("scaffold.f_var"),
-        offsets=tensor("scaffold.offsets"),
-        offset_scale=tensor("scaffold.offset_scale"),
-        shape_scale=tensor("scaffold.shape_scale"),
-        voxel_size=voxel, box_min=box_min, occupied=occupied,
-    )
+    scaffold = AnchorScaffold(**{name: tensor(f"scaffold.{name}") for name in ROW_FIELDS},
+                              voxel_size=meta["voxel_size"],
+                              box_min=tensor("scaffold.box_min"))
     global_g = tensor("global.g")
     heads = {}
     for head_name in ("opacity", "color", "covariance"):

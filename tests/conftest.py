@@ -29,7 +29,7 @@ def micro_scene(rng, n=3, d_b=4, d_v=4, d_g=6, K=4, d_f=8, T=2, opacity_bias=0.3
         offsets=rng.normal(size=(n, K, 3)) * 0.8,
         offset_scale=0.25 * rng.uniform(0.8, 1.2, size=(n, 3)),
         shape_scale=0.3 * rng.uniform(0.8, 1.2, size=(n, 3)),
-        voxel_size=0.3, box_min=positions.min(axis=0), occupied={},
+        voxel_size=0.3, box_min=positions.min(axis=0),
     )
     weights = init_decoder_weights(rng, d_b + d_v + d_g + 3, d_f, K, opacity_bias)
     global_g = rng.normal(size=(T, d_g)) * 0.5

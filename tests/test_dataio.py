@@ -215,7 +215,8 @@ def tree_digest(root):
         for name in sorted(filenames):
             path = os.path.join(dirpath, name)
             digest.update(os.path.relpath(path, root).encode())
-            digest.update(open(path, "rb").read())
+            with open(path, "rb") as f:
+                digest.update(f.read())
     return digest.hexdigest()
 
 

@@ -234,10 +234,7 @@ def test_adam_row_state_fresh_rows(rng):
         optim.adam_step(group, [g], step=i)
     # grow one row
     p2 = np.concatenate([group.params[0], np.zeros((1, 3))], axis=0)
-    group.params = [p2]
-    group.m = [np.concatenate([group.m[0], np.zeros((1, 3))], axis=0)]
-    group.v = [np.concatenate([group.v[0], np.zeros((1, 3))], axis=0)]
-    group.step = [np.concatenate([group.step[0], np.zeros(1, dtype=np.int64)])]
+    group.resize_rows(p2, added=1, keep=np.ones(3, dtype=bool))
     gnew = rng.normal(size=(3, 3))
     optim.adam_step(group, [gnew], step=5)
     assert group.step[0].tolist() == [6, 6, 1]

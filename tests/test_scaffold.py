@@ -250,8 +250,6 @@ def test_voxel_uniqueness_after_grow_prune(rng):
         sc.apply_keep_mask(s, sc.prune_keep_mask(s, min_opacity=0.005, min_samples=20))
         cells = list(map(tuple, sc.voxel_cells(s.positions, s.voxel_size, s.box_min).tolist()))
         assert len(set(cells)) == len(cells)
-        assert set(s.occupied.keys()) == set(cells)
-        assert all(s.occupied[c] == i for i, c in enumerate(cells))
 
 
 def test_grow_prune_deterministic(rng):
@@ -268,4 +266,3 @@ def test_grow_prune_deterministic(rng):
         return s
     a, b = build(99), build(99)
     np.testing.assert_array_equal(a.positions, b.positions)
-    assert a.occupied == b.occupied

@@ -8,7 +8,8 @@ import pytest
 from periodsplat import trainer as tr
 from periodsplat.dataio import PrimitiveSpec, SyntheticSceneSpec, generate_synthetic
 from periodsplat.errors import (ConfigInvalid, CorruptChecksum, EmptyDataset,
-                                VersionMismatch)
+                                InternalError, VersionMismatch)
+from periodsplat.scaffold import ROW_FIELDS
 
 from conftest import CHECKPOINT_FAULTS, rewrite_checkpoint
 
@@ -148,6 +149,81 @@ def test_ablation_keeps_shapes(tiny_dataset):
     ref = tr.init_state(tiny_config(), tiny_dataset)
     assert state.global_g.shape == ref.global_g.shape
     assert state.scaffold.f_var.shape == ref.scaffold.f_var.shape
+
+
+def test_densify_keeps_row_arrays_aligned(tiny_dataset):
+    """One densify event grows one anchor and prunes another: every row
+    array and the Adam state of every row group keep the surviving rows in
+    order, the grown row starts fresh, and each row group still updates the
+    scaffold's own array."""
+    state = tr.init_state(tiny_config(), tiny_dataset)
+    s, n = state.scaffold, len(state.scaffold)
+    row_groups = [g for g in state.groups.values() if g.row_state]
+    for g in row_groups:
+        ids = np.arange(n).reshape((n,) + (1,) * (g.m[0].ndim - 1))
+        g.m[0][...] = ids + 0.25
+        g.v[0][...] = ids + 0.5
+        g.step[0][...] = np.arange(n) + 1
+    # Slot 0 of anchor 0 is hot and decodes two cells beyond the largest x of
+    # the scaffold (offset_scale starts at the voxel size); anchor 2 is
+    # transparent.
+    reach = np.ceil((s.positions[:, 0].max() - s.positions[0, 0]) / s.voxel_size) + 2
+    s.offsets[0, 0, 0] = reach
+    s.stats.grad_norm_sum[0, 0], s.stats.visible_count[0, 0] = 1.0, 100
+    s.stats.sample_count[:], s.stats.opacity_sum[:] = 100, 50.0
+    s.stats.opacity_sum[2] = 0.0
+    keep = np.arange(n) != 2
+    rows = {name: getattr(s, name).copy() for name in ROW_FIELDS}
+    adam = {g.name: (g.m[0].copy(), g.v[0].copy(), g.step[0].copy()) for g in row_groups}
+
+    assert tr.densify(state) == (1, 1)
+    assert len(s) == n
+    for name in ROW_FIELDS:
+        np.testing.assert_array_equal(getattr(s, name)[:-1], rows[name][keep])
+    for g in row_groups:
+        assert g.params[0] is getattr(s, g.name)
+        for now, before in zip((g.m[0], g.v[0], g.step[0]), adam[g.name]):
+            np.testing.assert_array_equal(now[:-1], before[keep])
+            assert not now[-1].any()
+    np.testing.assert_allclose(s.positions[-1], rows["positions"][0] + [reach * s.voxel_size, 0, 0],
+                               atol=1e-12)
+    assert not (s.f_base[-1].any() or s.f_var[-1].any() or s.offsets[-1].any())
+    assert (s.offset_scale[-1] == s.voxel_size).all() and (s.shape_scale[-1] == s.voxel_size).all()
+
+
+def _optimizer_bytes(state):
+    return [np.asarray(a).tobytes() for g in state.groups.values()
+            for a in (*g.params, *g.m, *g.v, *g.step)]
+
+
+def test_non_finite_gradient_updates_nothing(tiny_dataset, monkeypatch):
+    state = tr.init_state(tiny_config(), tiny_dataset)
+    state.iteration = 7  # inside the statistics window
+    backward = tr.raster.render_backward
+
+    def poisoned(graph, grad_image):
+        grads = backward(graph, grad_image)
+        grads.f_var[0, 0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(tr.raster, "render_backward", poisoned)
+    before = _optimizer_bytes(state)
+    cam = tiny_dataset.train_cameras()[0]
+    with pytest.raises(InternalError, match="'f_var' at iteration 7"):
+        tr.training_step(state, cam, tiny_dataset.images[cam.id])
+    assert _optimizer_bytes(state) == before
+    assert state.iteration == 7 and not state.scaffold.stats.sample_count.any()
+
+
+def test_non_finite_loss_updates_nothing(tiny_dataset):
+    state = tr.init_state(tiny_config(), tiny_dataset)
+    cam = tiny_dataset.train_cameras()[0]
+    image = tiny_dataset.images[cam.id].copy()
+    image[3, 4, 1] = np.nan
+    before = _optimizer_bytes(state)
+    with pytest.raises(InternalError, match="non-finite loss nan at iteration 0"):
+        tr.training_step(state, cam, image)
+    assert _optimizer_bytes(state) == before and state.iteration == 0
 
 
 def test_empty_dataset_rejected(tiny_dataset):
