@@ -17,6 +17,8 @@ from types import SimpleNamespace
 import numpy as np
 
 NEAR_PLANE = 0.01
+# Frustum tests pass points up to this fraction of the diagonal outside the image.
+FRUSTUM_MARGIN = 0.15
 # Added to both diagonal entries of every projected 2D covariance so
 # sub-pixel splats stay well conditioned.
 COV_DILATION = 0.3
@@ -174,12 +176,10 @@ def world_to_view_many(camera, points):
     return points @ camera.rotation_matrix().T + camera.translation
 
 
-def frustum_test_many(camera, points, margin=None):
+def frustum_test_many(camera, points):
     """Bool mask of the (N, 3) points that lie in front of the camera and
-    project inside the image bounds expanded by ``margin`` pixels (default
-    15% of the diagonal)."""
-    if margin is None:
-        margin = 0.15 * camera.image_diagonal()
+    project inside the image bounds expanded by FRUSTUM_MARGIN."""
+    margin = FRUSTUM_MARGIN * camera.image_diagonal()
     view = world_to_view_many(camera, points)
     z = view[:, 2]
     ok = z > NEAR_PLANE

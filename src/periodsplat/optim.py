@@ -165,20 +165,17 @@ def hybrid_loss(pred, gt, lam):
 
 @dataclass
 class LrSchedule:
-    """Exponential (geometric) decay from initial to final, or constant."""
+    """Exponential (geometric) decay from initial to final, constant if equal."""
 
     initial: float
     final: float
     total_steps: int
-    kind: str = "exp"  # "exp" | "const"
 
 
 def lr_at(schedule, step):
     if step < 0 or step > schedule.total_steps:
         raise OutOfRange(f"step {step} outside [0, {schedule.total_steps}]")
-    if schedule.kind == "const" or schedule.initial == schedule.final:
-        return schedule.initial
-    if schedule.total_steps == 0:
+    if schedule.initial == schedule.final or schedule.total_steps == 0:
         return schedule.initial
     frac = step / schedule.total_steps
     return schedule.initial * (schedule.final / schedule.initial) ** frac

@@ -147,11 +147,11 @@ def init_scaffold(per_period_points, voxel_size, *, d_b, d_v, K):
     return AnchorScaffold(**rows, voxel_size=voxel_size, box_min=box_min)
 
 
-def visible_anchors(scaffold, camera, margin=None):
+def visible_anchors(scaffold, camera):
     """Indices (ascending) of anchors whose position passes the frustum test."""
     if len(scaffold) == 0:
         return np.empty(0, dtype=np.int64)
-    mask = frustum_test_many(camera, scaffold.positions, margin)
+    mask = frustum_test_many(camera, scaffold.positions)
     return np.nonzero(mask)[0]
 
 

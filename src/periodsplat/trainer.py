@@ -1,6 +1,6 @@
 """Training loop, densification orchestration, and checkpointing.
 
-Training has three phases: plain optimization until warmup_end, a
+Training has three phases: plain optimization until densify_start, a
 densification phase in [densify_start, densify_end] where statistics are
 collected (already from stats_start) and anchors are grown/pruned every
 densify_interval iterations, and pure optimization afterwards with the
@@ -51,7 +51,6 @@ class TrainConfig:
     K: int = 10
     d_f: int = 64
     total_iters: int = 40000
-    warmup_end: int = 500
     densify_start: int = 1500
     densify_end: int = 20000
     densify_interval: int = 100
@@ -60,17 +59,12 @@ class TrainConfig:
     tau_g: float = 0.0002
     loss_lambda: float = 0.8
     voxel_fraction: float = 0.001
-    voxel_size: float = 0.0  # absolute override; 0 derives from voxel_fraction
     min_opacity: float = 0.005
-    min_visibility: int = 0  # 0 = half the densify interval
-    prune_min_samples: int = 0  # 0 = half the densify interval
     seed: int = 0
     disable_base: bool = False
     disable_var: bool = False
     disable_global: bool = False
     background: tuple = (0.0, 0.0, 0.0)
-    randomize_background: bool = False
-    balance_periods: bool = False
     opacity_bias: float = 0.1
     log_interval: int = 10
     checkpoint_interval: int = 0  # 0 = final checkpoint only
@@ -79,16 +73,16 @@ class TrainConfig:
     def validate(self):
         if min(self.d_b, self.d_v, self.d_g, self.d_f, self.K) < 1:
             raise ConfigInvalid("feature dimensions and K must be positive")
-        if not (0 <= self.warmup_end <= self.densify_start <= self.densify_end <= self.total_iters):
-            raise ConfigInvalid("need warmup_end <= densify_start <= densify_end <= total_iters")
+        if not (0 <= self.densify_start <= self.densify_end <= self.total_iters):
+            raise ConfigInvalid("need 0 <= densify_start <= densify_end <= total_iters")
         if not (0 <= self.stats_start <= self.stats_end):
             raise ConfigInvalid("stats window is inverted")
         if self.densify_interval < 1:
             raise ConfigInvalid("densify_interval must be positive")
         if not (0.0 <= self.loss_lambda <= 1.0):
             raise ConfigInvalid("loss_lambda must lie in [0, 1]")
-        if self.voxel_size < 0 or self.voxel_fraction <= 0:
-            raise ConfigInvalid("voxel sizing must be positive")
+        if self.voxel_fraction <= 0:
+            raise ConfigInvalid("voxel_fraction must be positive")
         if len(self.background) != 3 or any(not (0 <= b <= 1) for b in self.background):
             raise ConfigInvalid("background must be three values in [0, 1]")
         return self
@@ -97,7 +91,7 @@ class TrainConfig:
     def desk_preset(**overrides):
         """Schedule scaled down from the full 40k run to workstation scale."""
         cfg = TrainConfig(
-            total_iters=5000, warmup_end=100,
+            total_iters=5000,
             stats_start=100, stats_end=300,
             densify_start=300, densify_end=2500, densify_interval=100,
             voxel_fraction=0.04,
@@ -108,17 +102,20 @@ class TrainConfig:
     def ablate(self):
         return (self.disable_base, self.disable_var, self.disable_global)
 
-    def grow_visibility(self):
-        return self.min_visibility or max(1, self.densify_interval // 2)
-
-    def prune_samples(self):
-        return self.prune_min_samples or max(1, self.densify_interval // 2)
-
 
 _CONFIG_FIELDS = {f.name: f for f in fields(TrainConfig)}
-# Keys of deleted fields that the config text of older checkpoints still
-# holds; parsing skips them.
-_RETIRED_KEYS = ("deterministic", "dtype")
+# Keys of deleted fields that older checkpoints' config text still holds: (old type,
+# the only value accepted, as a run now behaves, or None for any; what to set instead).
+_RETIRED_KEYS = {
+    "deterministic": ("bool", None, ""),
+    "warmup_end": ("int", None, ""),
+    "dtype": ("str", "f64", "parameters are always stored in f64"),
+    "voxel_size": ("float", 0.0, "use voxel_fraction"),
+    "min_visibility": ("int", 0, "use densify_interval; half of it is the minimum"),
+    "prune_min_samples": ("int", 0, "use densify_interval; half of it is the minimum"),
+    "randomize_background": ("bool", False, "use background"),
+    "balance_periods": ("bool", False, "each epoch is one permutation of all training cameras"),
+}
 
 
 def config_to_text(cfg):
@@ -129,8 +126,6 @@ def config_to_text(cfg):
             text = "true" if value else "false"
         elif isinstance(value, tuple):
             text = ",".join(repr(float(v)) for v in value)
-        elif isinstance(value, float):
-            text = repr(value)
         else:
             text = str(value)
         lines.append(f"{name}={text}")
@@ -138,8 +133,8 @@ def config_to_text(cfg):
 
 
 def config_from_text(text, base=None):
-    """Parse flat key=value lines; unknown keys other than the retired ones
-    are hard errors."""
+    """Parse flat key=value lines. Unknown keys are hard errors, and so is a
+    retired key set to a value that would change a run."""
     cfg = base or TrainConfig()
     values = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -150,11 +145,9 @@ def config_from_text(text, base=None):
             raise ConfigInvalid(f"line {ln}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _RETIRED_KEYS:
-            continue
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_FIELDS and key not in _RETIRED_KEYS:
             raise ConfigInvalid(f"unknown config key {key!r}")
-        ftype = _CONFIG_FIELDS[key].type
+        ftype = _RETIRED_KEYS[key][0] if key in _RETIRED_KEYS else _CONFIG_FIELDS[key].type
         try:
             if ftype == "bool":
                 if val.lower() not in ("true", "false", "0", "1"):
@@ -170,6 +163,11 @@ def config_from_text(text, base=None):
                 values[key] = val
         except ValueError as exc:
             raise ConfigInvalid(f"config key {key}: {exc}") from exc
+    for key, (_, kept, instead) in _RETIRED_KEYS.items():
+        value = values.pop(key, kept)
+        if kept is not None and value != kept:
+            raise ConfigInvalid(f"config key {key} is retired and accepts only {kept!r}, "
+                                f"not {value!r}; {instead}")
     return replace(cfg, **values)
 
 
@@ -194,9 +192,8 @@ def _build_groups(config, scaffold, global_g, weights, spatial_lr_scale):
     total = config.total_iters
     sls = spatial_lr_scale
 
-    def sched(initial, final=None, kind="exp"):
-        return LrSchedule(initial, initial if final is None else final, total,
-                          kind if final is not None else "const")
+    def sched(initial, final=None):
+        return LrSchedule(initial, initial if final is None else final, total)
 
     groups = {
         "offsets": ParamGroup("offsets", [scaffold.offsets],
@@ -229,7 +226,7 @@ def init_state(config, dataset):
         raise EmptyDataset("every period needs at least one image")
 
     union = dataset.union_points()
-    voxel = config.voxel_size or voxel_size_for_points(union, config.voxel_fraction)
+    voxel = voxel_size_for_points(union, config.voxel_fraction)
     scaffold = init_scaffold(dataset.per_period_points, voxel,
                              d_b=config.d_b, d_v=config.d_v, K=config.K)
 
@@ -272,11 +269,7 @@ def training_step(state, camera, image):
     updated.
     """
     cfg = state.config
-    background = np.asarray(cfg.background, dtype=np.float64)
-    if cfg.randomize_background:
-        background = state.rng.uniform(0.0, 1.0, size=3)
-    graph = raster.render(state.scaffold, camera, camera.period, state.weights,
-                          state.global_g, background=background, ablate=cfg.ablate)
+    graph = render_from_state(state, camera, camera.period)
     report, grad_image = hybrid_loss(graph.image, image, cfg.loss_lambda)
     if not math.isfinite(report.total):
         raise InternalError(f"non-finite loss {report.total} at iteration {state.iteration}")
@@ -307,8 +300,9 @@ def densify(state):
     """One grow + prune event; keeps optimizer state aligned with the scaffold.
     Each row_state group is named after the scaffold array it updates."""
     cfg = state.config
-    added = grow_anchors(state.scaffold, cfg.tau_g, cfg.grow_visibility())
-    keep = prune_keep_mask(state.scaffold, cfg.min_opacity, cfg.prune_samples())
+    min_samples = max(1, cfg.densify_interval // 2)  # sightings before growing or pruning
+    added = grow_anchors(state.scaffold, cfg.tau_g, min_samples)
+    keep = prune_keep_mask(state.scaffold, cfg.min_opacity, min_samples)
     removed = apply_keep_mask(state.scaffold, keep)
     for group in state.groups.values():
         if group.row_state:
@@ -317,22 +311,9 @@ def densify(state):
 
 
 def _next_camera(state, dataset):
-    if not state._epoch_queue:
-        cams = dataset.train_cameras()
-        if state.config.balance_periods:
-            by_period = {}
-            for i, cam in enumerate(cams):
-                by_period.setdefault(cam.period, []).append(i)
-            queues = [list(state.rng.permutation(ids)) for _, ids in sorted(by_period.items())]
-            order = []
-            while any(queues):
-                for q in queues:
-                    if q:
-                        order.append(q.pop())
-            state._epoch_queue = order[::-1]
-        else:
-            state._epoch_queue = list(state.rng.permutation(len(cams)))
     cams = dataset.train_cameras()
+    if not state._epoch_queue:
+        state._epoch_queue = list(state.rng.permutation(len(cams)))
     return cams[state._epoch_queue.pop()]
 
 

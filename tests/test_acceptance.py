@@ -379,7 +379,7 @@ def test_criterion_9_determinism_persistence(tmp_path):
 
     dataset = generate_synthetic(single_blob_spec(T=2), tmp_path / "data")
     cfg = TrainConfig.desk_preset(
-        total_iters=60, warmup_end=5, stats_start=5, stats_end=15,
+        total_iters=60, stats_start=5, stats_end=15,
         densify_start=15, densify_end=40, densify_interval=10,
         voxel_fraction=0.06, seed=9, log_interval=0)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -40,7 +40,7 @@ def workspace(tmp_path_factory):
     ckpt = root / "model.ckpt"
     config = root / "train.cfg"
     config.write_text(
-        "total_iters=60\nwarmup_end=5\nstats_start=5\nstats_end=15\n"
+        "total_iters=60\nstats_start=5\nstats_end=15\n"
         "densify_start=15\ndensify_end=40\ndensify_interval=10\n"
         "voxel_fraction=0.06\nseed=3\nlog_interval=10\n")
     code = cli.main(["train", "--data", str(data_dir), "--out", str(ckpt),
@@ -84,6 +84,17 @@ def test_train_invalid_config_key(workspace, tmp_path):
     code = cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "x.ckpt"),
                      "--config", str(bad)])
     assert code == 2
+
+
+def test_train_retired_key_changing_a_run_exit_2(workspace, tmp_path, capsys):
+    """dtype=f32 names a storage option that no longer exists: a usage error,
+    not an f64 run."""
+    _, _, data_dir, _, _ = workspace
+    code = cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "x.ckpt"),
+                     "--set", "total_iters=0", "--set", "dtype=f32"])
+    assert code == 2
+    assert "dtype" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_train_ablation_flags(workspace, tmp_path):
@@ -234,7 +245,7 @@ def test_inspect_fresh_checkpoint_iteration_zero(workspace, tmp_path, capsys):
     out = tmp_path / "fresh.ckpt"
     code = cli.main(["train", "--data", str(data_dir), "--out", str(out),
                      "--set", "total_iters=0", "--set", "densify_start=0",
-                     "--set", "densify_end=0", "--set", "warmup_end=0",
+                     "--set", "densify_end=0",
                      "--set", "stats_start=0", "--set", "stats_end=0"])
     assert code == 0
     assert cli.main(["inspect", "--ckpt", str(out)]) == 0

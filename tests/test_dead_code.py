@@ -2,25 +2,43 @@
 
 import ast
 import pathlib
+from dataclasses import fields
 
 import periodsplat
+from periodsplat.trainer import TrainConfig
+
+TREES = {path.name: ast.parse(path.read_text())
+         for path in pathlib.Path(periodsplat.__file__).parent.glob("*.py")}
 
 
 def test_every_definition_is_referenced():
     """Every module-level function and class of the package is named
     somewhere in the package outside its own definition: as a name, an
     attribute or an imported name."""
-    trees = {path.name: ast.parse(path.read_text())
-             for path in pathlib.Path(periodsplat.__file__).parent.glob("*.py")}
     references = [(getattr(node, "id", None) or getattr(node, "attr", None)
                    or getattr(node, "name", None), node)
-                  for tree in trees.values() for node in ast.walk(tree)
+                  for tree in TREES.values() for node in ast.walk(tree)
                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias))]
     unused = []
-    for module, tree in sorted(trees.items()):
+    for module, tree in sorted(TREES.items()):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 own = {id(inner) for inner in ast.walk(node)}
                 if not any(name == node.name and id(ref) not in own for name, ref in references):
                     unused.append(f"{module}:{node.name}")
     assert unused == []
+
+
+def test_every_config_field_is_read():
+    """Every TrainConfig field is read as an attribute somewhere in the
+    package outside TrainConfig.validate and TrainConfig.desk_preset, so no
+    knob is only checked or only set."""
+    config_class = next(node for node in TREES["trainer.py"].body
+                        if isinstance(node, ast.ClassDef) and node.name == "TrainConfig")
+    skipped = {id(inner) for method in config_class.body
+               if isinstance(method, ast.FunctionDef) and method.name in ("validate", "desk_preset")
+               for inner in ast.walk(method)}
+    read = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in skipped}
+    assert [f.name for f in fields(TrainConfig) if f.name not in read] == []

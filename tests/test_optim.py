@@ -153,16 +153,16 @@ def test_psnr_cases(rng):
 
 def test_lr_endpoints_and_midpoint():
     sls = 2.5
-    sched = optim.LrSchedule(0.01 * sls, 0.0001 * sls, 1000, "exp")
+    sched = optim.LrSchedule(0.01 * sls, 0.0001 * sls, 1000)
     assert optim.lr_at(sched, 0) == pytest.approx(0.01 * sls)
     assert optim.lr_at(sched, 1000) == pytest.approx(0.0001 * sls)
     assert optim.lr_at(sched, 500) == pytest.approx(np.sqrt(0.01 * 0.0001) * sls)
-    const = optim.LrSchedule(0.004, 0.004, 1000, "const")
+    const = optim.LrSchedule(0.004, 0.004, 1000)
     assert optim.lr_at(const, 700) == 0.004
 
 
 def test_lr_out_of_range():
-    sched = optim.LrSchedule(0.01, 0.001, 100, "exp")
+    sched = optim.LrSchedule(0.01, 0.001, 100)
     with pytest.raises(OutOfRange):
         optim.lr_at(sched, -1)
     with pytest.raises(OutOfRange):
@@ -170,7 +170,7 @@ def test_lr_out_of_range():
 
 
 def test_lr_monotone_non_increasing():
-    sched = optim.LrSchedule(0.02, 0.0005, 300, "exp")
+    sched = optim.LrSchedule(0.02, 0.0005, 300)
     values = [optim.lr_at(sched, s) for s in range(301)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -179,7 +179,7 @@ def test_lr_monotone_non_increasing():
 # Adam
 
 def make_group(p, lr=0.01, row_state=False):
-    return optim.ParamGroup("test", [p], optim.LrSchedule(lr, lr, 10_000, "const"),
+    return optim.ParamGroup("test", [p], optim.LrSchedule(lr, lr, 10_000),
                             row_state=row_state)
 
 

@@ -32,14 +32,13 @@ def tiny_dataset(tmp_path_factory):
 
 
 def tiny_config(**over):
-    base = dict(total_iters=40, warmup_end=5, stats_start=5, stats_end=15,
+    base = dict(total_iters=40, stats_start=5, stats_end=15,
                 densify_start=15, densify_end=30, densify_interval=10,
                 voxel_fraction=0.06, seed=3, log_interval=0)
     base.update(over)
     total = base["total_iters"]
     base["densify_end"] = min(base["densify_end"], total)
     base["densify_start"] = min(base["densify_start"], base["densify_end"])
-    base["warmup_end"] = min(base["warmup_end"], base["densify_start"])
     return tr.TrainConfig.desk_preset(**base)
 
 
@@ -74,11 +73,31 @@ def test_config_bad_value_rejected():
         tr.config_from_text("total_iters=many\n")
 
 
+@pytest.mark.parametrize("key,kept,changed", [
+    ("deterministic", ["true", "false"], "maybe"),
+    ("warmup_end", ["0", "500"], "soon"),
+    ("dtype", ["f64"], "f32"),
+    ("voxel_size", ["0", "0.0"], "0.05"),
+    ("min_visibility", ["0"], "3"),
+    ("prune_min_samples", ["0"], "3"),
+    ("randomize_background", ["false", "0"], "true"),
+    ("balance_periods", ["false", "0"], "true"),
+])
+def test_config_retired_key_values(key, kept, changed):
+    """A retired key loads as a no-op only at a value the program still
+    behaves as; any other value is refused and the error names the key."""
+    for value in kept:
+        assert tr.config_from_text(f"seed=4\n{key}={value}\n") == tr.TrainConfig(seed=4)
+    with pytest.raises(ConfigInvalid) as err:
+        tr.config_from_text(f"seed=4\n{key}={changed}\n")
+    assert key in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
 def test_train_zero_iters_checkpoint_equals_init(tiny_dataset, tmp_path):
-    cfg = tiny_config(total_iters=0, warmup_end=0, stats_start=0, stats_end=0,
+    cfg = tiny_config(total_iters=0, stats_start=0, stats_end=0,
                       densify_start=0, densify_end=0)
     state = tr.train(cfg, tiny_dataset, out_path=tmp_path / "a.ckpt")
     fresh = tr.init_state(cfg, tiny_dataset)
@@ -91,7 +110,7 @@ def test_train_zero_iters_checkpoint_equals_init(tiny_dataset, tmp_path):
 
 def test_training_loss_decreases(tiny_dataset):
     """Windowed average training loss decreases over a short smoke run."""
-    cfg = tiny_config(total_iters=200, warmup_end=10, stats_start=10, stats_end=40,
+    cfg = tiny_config(total_iters=200, stats_start=10, stats_end=40,
                       densify_start=40, densify_end=150, densify_interval=50, seed=7)
     state = tr.init_state(cfg, tiny_dataset)
     cam = tiny_dataset.train_cameras()[0]
@@ -355,6 +374,44 @@ def test_deterministic_training_bitwise(tiny_dataset, tmp_path):
     _, p1 = train_briefly(tiny_dataset, tmp_path, name="d1", seed=5)
     _, p2 = train_briefly(tiny_dataset, tmp_path, name="d2", seed=5)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_checkpoint_interval_saves_mid_run(tiny_dataset, tmp_path, monkeypatch):
+    """checkpoint_interval=5 saves after iterations 5, 10 and 15, then the
+    final checkpoint; that file equals a final-only run's but for config."""
+    _, plain = train_briefly(tiny_dataset, tmp_path, name="plain", iters=20)
+    saved_at, save = [], tr.save_checkpoint
+
+    def spy(state, path):
+        saved_at.append(state.iteration)
+        save(state, path)
+
+    monkeypatch.setattr(tr, "save_checkpoint", spy)
+    _, periodic = train_briefly(tiny_dataset, tmp_path, name="periodic", iters=20,
+                                checkpoint_interval=5)
+    assert saved_at == [6, 11, 16, 20]
+    a, b = tr._read_sections(plain), tr._read_sections(periodic)
+    assert list(a) == list(b)
+    assert a.pop("config") != b.pop("config") and a == b
+
+
+def test_eval_interval_logs_mid_run_evals(tiny_dataset):
+    """eval_interval=5 adds eval records at iterations 5, 10 and 15 to the
+    final one, and leaves every training loss unchanged."""
+    import io
+    import json
+
+    def run(**over):
+        stream = io.StringIO()
+        tr.train(tiny_config(total_iters=20, log_interval=1, **over), tiny_dataset,
+                 log_stream=stream)
+        return [json.loads(line) for line in stream.getvalue().splitlines()]
+
+    plain, evaluated = run(), run(eval_interval=5)
+    assert [r["iter"] for r in evaluated if "eval" in r] == [5, 10, 15, 20]
+    assert [r["iter"] for r in plain if "eval" in r] == [20]
+    losses = [r for r in plain if "total" in r]
+    assert len(losses) == 20 and losses == [r for r in evaluated if "total" in r]
 
 
 def test_metric_log_records(tiny_dataset, tmp_path):
