@@ -11,13 +11,12 @@ __version__ = "0.1.0"
 
 from .errors import PeriodSplatError
 from .geom import Camera, Gaussian3D
-from .temporal import TimeEncoding, encode_time
+from .temporal import encode_time
 
 __all__ = [
     "Camera",
     "Gaussian3D",
     "PeriodSplatError",
-    "TimeEncoding",
     "encode_time",
     "__version__",
 ]

@@ -112,18 +112,17 @@ def cmd_train(args):
         config = TrainConfig.desk_preset()
     else:
         config = TrainConfig()
+    text = ""
     if args.config:
         if not os.path.isfile(args.config):
             raise _UsageError(f"config file not found: {args.config}")
         with open(args.config) as f:
-            config = config_from_text(f.read(), base=config)
-    override_lines = []
+            text = f.read()
     for item in args.set:
         if "=" not in item:
             raise _UsageError(f"--set expects KEY=VALUE, got {item!r}")
-        override_lines.append(item)
-    if override_lines:
-        config = config_from_text("\n".join(override_lines), base=config)
+    # One parse, so that cross-key checks see the overrides too.
+    config = config_from_text("\n".join([text, *args.set]), base=config)
     for name in args.ablate:
         from dataclasses import replace
         config = replace(config, **{f"disable_{name}": True})

@@ -19,13 +19,15 @@ this package's own rasterizer, so a trained model can reach them exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (EmptyDataset, IoError, MissingFile, NonContiguousPeriods,
-                     ParseError, SpecInvalid, UnknownImage, UnsupportedCameraModel)
+from .errors import (EmptyDataset, EmptyPointCloud, IoError, MissingFile,
+                     NonContiguousPeriods, ParseError, SpecInvalid, UnknownImage,
+                     UnsupportedCameraModel)
 from .geom import Camera, Gaussian3D, quat_normalize, rotmat_to_quat
 from .raster import render_gaussians
 
@@ -116,7 +118,8 @@ def _require(path):
 def parse_colmap(directory):
     """Parse cameras.txt + images.txt + points3D.txt into per-image cameras
     and an (N, 3) point array. 2D observation lines and unknown trailing
-    columns are ignored; periods are filled in separately."""
+    columns are ignored; periods are filled in separately. A value that no
+    Camera accepts is a ParseError at its line."""
     cam_path = _require(os.path.join(directory, "cameras.txt"))
     img_path = _require(os.path.join(directory, "images.txt"))
     pts_path = _require(os.path.join(directory, "points3D.txt"))
@@ -144,7 +147,11 @@ def parse_colmap(directory):
             cx, cy = params[1], params[2]
         else:
             raise UnsupportedCameraModel(f"{model} (line {ln} of {cam_path})")
-        intrinsics[cam_id] = (width, height, fx, fy, cx, cy)
+        try:  # at the identity pose; each image line sets its own
+            intrinsics[cam_id] = Camera(cam_id, width, height, fx, fy, cx, cy,
+                                        rotation=[1.0, 0.0, 0.0, 0.0], translation=np.zeros(3))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=cam_path, line=ln) from exc
 
     cameras = []
     expect_pose = True
@@ -166,20 +173,15 @@ def parse_colmap(directory):
         if len(parts) < 10:
             raise ParseError("image line needs 10 fields", path=img_path, line=ln)
         try:
-            image_id = int(parts[0])
-            qw, qx, qy, qz = (float(p) for p in parts[1:5])
-            tx, ty, tz = (float(p) for p in parts[5:8])
-            cam_id = int(parts[8])
+            image_id, cam_id = int(parts[0]), int(parts[8])
+            if cam_id not in intrinsics:
+                raise ValueError(f"image references unknown camera {cam_id}")
+            cameras.append(replace(
+                intrinsics[cam_id], id=image_id,
+                rotation=quat_normalize([float(p) for p in parts[1:5]]),
+                translation=np.array([float(p) for p in parts[5:8]]), image_name=parts[9]))
         except ValueError as exc:
             raise ParseError(str(exc), path=img_path, line=ln) from exc
-        name = parts[9]
-        if cam_id not in intrinsics:
-            raise ParseError(f"image references unknown camera {cam_id}", path=img_path, line=ln)
-        width, height, fx, fy, cx, cy = intrinsics[cam_id]
-        cameras.append(Camera(
-            id=image_id, width=width, height=height, fx=fx, fy=fy, cx=cx, cy=cy,
-            rotation=quat_normalize([qw, qx, qy, qz]),
-            translation=np.array([tx, ty, tz]), period=0, image_name=name))
         expect_pose = False
 
     cameras.sort(key=lambda c: c.id)
@@ -195,9 +197,12 @@ def read_points(path):
         if len(parts) < 4:
             raise ParseError("point line needs at least 4 fields", path=path, line=ln)
         try:
-            points.append([float(parts[1]), float(parts[2]), float(parts[3])])
+            xyz = [float(parts[1]), float(parts[2]), float(parts[3])]
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=ln) from exc
+        if not all(map(math.isfinite, xyz)):
+            raise ParseError(f"point {xyz} is not finite", path=path, line=ln)
+        points.append(xyz)
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 
@@ -270,7 +275,10 @@ class MultiPeriodDataset:
         return [c for c in self.cameras if self.split[c.id] == "test"]
 
     def union_points(self):
-        return np.concatenate([p for p in self.per_period_points if p.size], axis=0)
+        points = [p for p in self.per_period_points if p.size]
+        if not points:
+            raise EmptyPointCloud("the dataset has no sparse points")
+        return np.concatenate(points, axis=0)
 
 
 def load_dataset(directory):
@@ -384,6 +392,15 @@ class SyntheticSceneSpec:
         for p in self.primitives:
             if any(t < 0 or t >= self.T for t in p.lifespan):
                 raise SpecInvalid("primitive lifespan outside [0, T)")
+        if not (self.width >= 1 and self.height >= 1):
+            raise SpecInvalid("width and height must be at least 1")
+        if not (0 < self.fov_deg < 180):
+            raise SpecInvalid("fov_deg must lie in (0, 180)")
+        for t in range(self.T):
+            try:
+                ground_truth_gaussians(self, t)
+            except ValueError as exc:
+                raise SpecInvalid(f"a primitive of period {t} is invalid: {exc}") from exc
 
 
 def spec_from_json(path):

@@ -46,14 +46,6 @@ class DecoderWeights:
     covariance: MlpWeights
 
     @property
-    def in_dim(self):
-        return self.opacity.W1.shape[1]
-
-    @property
-    def hidden(self):
-        return self.opacity.W1.shape[0]
-
-    @property
     def K(self):
         return self.opacity.W2.shape[0]
 
@@ -193,8 +185,9 @@ def decode_backward(state, weights, g_means, g_quats, g_scales, g_opacity, g_col
     g_out_o = np.where(act, g_opacity * (1.0 - state.raw_opacity ** 2), 0.0)
     g_colors = np.where(actf, g_colors, 0.0)
     sig = state.colors
-    g_out_c = (g_colors * sig * (1.0 - sig)).reshape(state.V, -1)
-    g_out_g = np.concatenate([g_q_raw, g_logits], axis=-1).reshape(state.V, -1)
+    # Widths are explicit: reshape cannot infer -1 when V = 0.
+    g_out_c = (g_colors * sig * (1.0 - sig)).reshape(state.V, 3 * state.K)
+    g_out_g = np.concatenate([g_q_raw, g_logits], axis=-1).reshape(state.V, 7 * state.K)
 
     w_o, g_u_o = _head_backward(weights.opacity, state.u, state.z1_o, state.a1_o, g_out_o)
     w_c, g_u_c = _head_backward(weights.color, state.u, state.z1_c, state.a1_c, g_out_c)

@@ -7,6 +7,7 @@ Conventions used throughout the package:
 - Pixel coordinates are continuous with pixel (i, j) covering
   [i, i+1) x [j, j+1); the center of pixel (i, j) is (i + 0.5, j + 0.5).
 - Depth is view-space z. Points with z <= NEAR_PLANE are culled, not clamped.
+- Range checks on values are written so that NaN fails them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ JACOBIAN_CLAMP = 1.3
 
 def quat_normalize(q):
     q = np.asarray(q, dtype=np.float64)
-    return q / np.linalg.norm(q)
+    norm = np.linalg.norm(q)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"quaternion {q.tolist()} has no finite nonzero norm")
+    return q / norm
 
 
 def quat_to_rotmat(q):
@@ -129,11 +133,13 @@ class Camera:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
         self.translation = np.asarray(self.translation, dtype=np.float64)
-        if self.width < 1 or self.height < 1:
+        if not (self.width >= 1 and self.height >= 1):
             raise ValueError("camera image size must be at least 1x1")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
-        if abs(np.linalg.norm(self.rotation) - 1.0) > 1e-9:
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be positive and finite")
+        if not np.isfinite([self.cx, self.cy, *self.translation]).all():
+            raise ValueError("principal point and translation must be finite")
+        if not abs(np.linalg.norm(self.rotation) - 1.0) <= 1e-9:
             raise ValueError("camera quaternion must be unit norm")
         if self.period < 0:
             raise ValueError("period id must be non-negative")
@@ -164,11 +170,13 @@ class Gaussian3D:
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
         self.scale = np.asarray(self.scale, dtype=np.float64)
         self.color = np.asarray(self.color, dtype=np.float64)
-        if np.any(self.scale <= 0):
-            raise ValueError("scale components must be positive")
+        if not np.isfinite([*self.mean, *self.rotation]).all():
+            raise ValueError("mean and rotation must be finite")
+        if not ((self.scale > 0) & (self.scale < np.inf)).all():
+            raise ValueError("scale components must be positive and finite")
         if not (0 < self.opacity <= 1):
             raise ValueError("opacity must lie in (0, 1]")
-        if np.any(self.color < 0) or np.any(self.color > 1):
+        if not ((self.color >= 0) & (self.color <= 1)).all():
             raise ValueError("color components must lie in [0, 1]")
 
 

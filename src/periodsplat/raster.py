@@ -11,7 +11,8 @@ Terms with ahat < 1/255 are skipped and accumulation stops once the
 transmittance falls below 1e-4; use_thresholds=False disables both
 shortcuts for oracle comparisons. A skipped or stopped term has its ahat
 set to exactly 0, so it composites as a no-op (weight 0, factor 1.0) without
-a mask of its own.
+a mask of its own. A frame with no visible anchor, no active slot or no
+splat on the image takes the same path in both passes, on zero-size arrays.
 
 Compositing works in windows: runs of consecutive depth-sorted splats whose
 bbox areas sum to at most WINDOW_PX. ahat does not depend on compositing
@@ -46,7 +47,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import geom
-from .decoder import MlpWeights, decode_anchors, decode_backward
+from .decoder import decode_anchors, decode_backward
 from .errors import InternalError, MissingForwardState
 from .scaffold import visible_anchors
 from .temporal import encode_time, reduce_periods, reduce_periods_many
@@ -90,13 +91,9 @@ def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots
     means, quats, scales = means[keep], quats[keep], scales[keep]
     opacity, colors, rows, slots = opacity[keep], colors[keep], rows[keep], slots[keep]
 
-    if means.shape[0]:
-        front = geom.world_to_view_many(camera, means)[:, 2] > geom.NEAR_PLANE
-        means, quats, scales = means[front], quats[front], scales[front]
-        opacity, colors, rows, slots = opacity[front], colors[front], rows[front], slots[front]
-
-    if means.shape[0] == 0:
-        return _empty_splats(), None
+    front = geom.world_to_view_many(camera, means)[:, 2] > geom.NEAR_PLANE
+    means, quats, scales = means[front], quats[front], scales[front]
+    opacity, colors, rows, slots = opacity[front], colors[front], rows[front], slots[front]
 
     proj = geom.project_splats(camera, means, quats, scales)
     a, b, c = proj.cov[:, 0], proj.cov[:, 1], proj.cov[:, 2]
@@ -113,9 +110,6 @@ def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots
     y0 = np.maximum(np.ceil(my - ry - 0.5), 0).astype(np.int64)
     y1 = np.minimum(np.floor(my + ry - 0.5), camera.height - 1).astype(np.int64)
     on_image = (x0 <= x1) & (y0 <= y1)
-    if not on_image.any():
-        return _empty_splats(), None
-
     order = np.nonzero(on_image)[0][
         np.lexsort((slots[on_image], rows[on_image], proj.depth[on_image]))
     ]
@@ -134,16 +128,6 @@ def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots
         proj_index=order,
     )
     return splats, proj
-
-
-def _empty_splats():
-    return SimpleNamespace(
-        mean2d=np.zeros((0, 2)), cov=np.zeros((0, 3)), conic=np.zeros((0, 3)),
-        depth=np.zeros(0), opacity=np.zeros(0), color=np.zeros((0, 3)),
-        bbox=np.zeros((0, 4), dtype=np.int64),
-        rows=np.zeros(0, dtype=np.int64), slots=np.zeros(0, dtype=np.int64),
-        proj_index=np.zeros(0, dtype=np.int64),
-    )
 
 
 def _splat_params(splats):
@@ -449,16 +433,16 @@ def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0)
     )
     image, trans, stop = _composite_forward(splats, camera, background, use_thresholds)
 
-    max_opacity = np.maximum(batch.raw_opacity, 0.0).max(axis=1) if V else np.zeros(0)
+    max_opacity = np.maximum(batch.raw_opacity, 0.0).max(axis=1)
     return SimpleNamespace(
-        image=image, background=background, camera=camera, t=float(t), encoding=e,
+        image=image, background=background, camera=camera, encoding=e,
         use_thresholds=use_thresholds, ablate=tuple(ablate),
         visible=vis, n_anchors=len(scaffold),
         d_b=d_b, d_v=d_v, d_g=d_g, K=K, T=scaffold.T,
         h=h, decode_state=dstate, batch=batch, proj=proj,
         weights_ref=weights,
         splats=splats,
-        splat_anchors=vis[splats.rows] if V else splats.rows,
+        splat_anchors=vis[splats.rows],
         splat_slots=splats.slots,
         final_trans=trans, stop=stop,
         max_opacity=max_opacity,
@@ -472,7 +456,7 @@ def render_backward(graph, grad_image):
     that were not visible), the decoder weight gradients, and the per-splat
     2D positional gradients used by the densification statistics.
     """
-    if graph.decode_state is None and graph.visible.size:
+    if graph.decode_state is None:
         raise MissingForwardState("render graph is missing its decode state")
     splats = graph.splats
     g_mean2d, g_cov, g_opacity_s, g_color_s = _composite_backward(
@@ -487,59 +471,45 @@ def render_backward(graph, grad_image):
     g_opac_g = np.zeros((V, K))
     g_color_g = np.zeros((V, K, 3))
 
-    M = splats.mean2d.shape[0]
-    if M:
-        # Chain through the projection only for splats that were rasterized:
-        # every field of graph.proj has one row per projected Gaussian.
-        sub = SimpleNamespace(**{key: value[splats.proj_index]
-                                 for key, value in vars(graph.proj).items()})
-        g_means_w, g_quats_w, g_scales_w = geom.project_splats_backward(
-            graph.camera, sub, g_mean2d, g_cov)
-        r, s = splats.rows, splats.slots
-        g_means_g[r, s] = g_means_w
-        g_quats_g[r, s] = g_quats_w
-        g_scales_g[r, s] = g_scales_w
-        g_opac_g[r, s] = g_opacity_s
-        g_color_g[r, s] = g_color_s
+    # Chain through the projection only for splats that were rasterized:
+    # every field of graph.proj has one row per projected Gaussian.
+    sub = SimpleNamespace(**{key: value[splats.proj_index]
+                             for key, value in vars(graph.proj).items()})
+    g_means_w, g_quats_w, g_scales_w = geom.project_splats_backward(
+        graph.camera, sub, g_mean2d, g_cov)
+    r, s = splats.rows, splats.slots
+    g_means_g[r, s] = g_means_w
+    g_quats_g[r, s] = g_quats_w
+    g_scales_g[r, s] = g_scales_w
+    g_opac_g[r, s] = g_opacity_s
+    g_color_g[r, s] = g_color_s
 
     dg = decode_backward(graph.decode_state, graph.weights_ref, g_means_g, g_quats_g,
-                         g_scales_g, g_opac_g, g_color_g) if V else None
+                         g_scales_g, g_opac_g, g_color_g)
 
     n = graph.n_anchors
-    T = graph.T
-    w = graph.weights_ref
-
-    def zero_like_head(head):
-        return MlpWeights(*[np.zeros_like(a) for a in head.arrays()])
-
+    vis = graph.visible
     out = SimpleNamespace(
         f_base=np.zeros((n, graph.d_b)),
-        f_var=np.zeros((n, T, graph.d_v)),
+        f_var=np.zeros((n, graph.T, graph.d_v)),
         offsets=np.zeros((n, K, 3)),
         offset_scale=np.zeros((n, 3)),
         shape_scale=np.zeros((n, 3)),
-        g=np.zeros((T, graph.d_g)),
-        opacity_mlp=zero_like_head(w.opacity),
-        color_mlp=zero_like_head(w.color),
-        covariance_mlp=zero_like_head(w.covariance),
+        g=np.zeros((graph.T, graph.d_g)),
+        opacity_mlp=dg.opacity,
+        color_mlp=dg.color,
+        covariance_mlp=dg.covariance,
         splat_mean2d=g_mean2d,
     )
-    if V:
-        vis = graph.visible
-        e = graph.encoding
-        gh = dg.h
-        if not graph.ablate[0]:
-            out.f_base[vis] = gh[:, :graph.d_b]
-        if not graph.ablate[1]:
-            mid = gh[:, graph.d_b:graph.d_b + graph.d_v]
-            out.f_var[vis] = np.einsum("t,vd->vtd", e.weights, mid)
-        if not graph.ablate[2]:
-            tail = gh[:, graph.d_b + graph.d_v:]
-            out.g = e.weights[:, None] * tail.sum(axis=0)[None, :]
-        out.offsets[vis] = dg.offsets
-        out.offset_scale[vis] = dg.offset_scale
-        out.shape_scale[vis] = dg.shape_scale
-        out.opacity_mlp = dg.opacity
-        out.color_mlp = dg.color
-        out.covariance_mlp = dg.covariance
+    if not graph.ablate[0]:
+        out.f_base[vis] = dg.h[:, :graph.d_b]
+    if not graph.ablate[1]:
+        mid = dg.h[:, graph.d_b:graph.d_b + graph.d_v]
+        out.f_var[vis] = np.einsum("t,vd->vtd", graph.encoding, mid)
+    if not graph.ablate[2]:
+        tail = dg.h[:, graph.d_b + graph.d_v:]
+        out.g = graph.encoding[:, None] * tail.sum(axis=0)[None, :]
+    out.offsets[vis] = dg.offsets
+    out.offset_scale[vis] = dg.offset_scale
+    out.shape_scale[vis] = dg.shape_scale
     return out

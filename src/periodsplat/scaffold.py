@@ -149,10 +149,7 @@ def init_scaffold(per_period_points, voxel_size, *, d_b, d_v, K):
 
 def visible_anchors(scaffold, camera):
     """Indices (ascending) of anchors whose position passes the frustum test."""
-    if len(scaffold) == 0:
-        return np.empty(0, dtype=np.int64)
-    mask = frustum_test_many(camera, scaffold.positions)
-    return np.nonzero(mask)[0]
+    return np.nonzero(frustum_test_many(camera, scaffold.positions))[0]
 
 
 def accumulate_stats(scaffold, graph, grads):
@@ -163,14 +160,11 @@ def accumulate_stats(scaffold, graph, grads):
     anchor adds its strongest decoded opacity and one sample.
     """
     st = scaffold.stats
-    if graph.splat_anchors.size:
-        norms = np.linalg.norm(grads.splat_mean2d, axis=1)
-        np.add.at(st.grad_norm_sum, (graph.splat_anchors, graph.splat_slots), norms)
-        np.add.at(st.visible_count, (graph.splat_anchors, graph.splat_slots), 1)
-    vis = graph.visible
-    if vis.size:
-        st.opacity_sum[vis] += graph.max_opacity
-        st.sample_count[vis] += 1
+    cells = (graph.splat_anchors, graph.splat_slots)
+    np.add.at(st.grad_norm_sum, cells, np.linalg.norm(grads.splat_mean2d, axis=1))
+    np.add.at(st.visible_count, cells, 1)
+    st.opacity_sum[graph.visible] += graph.max_opacity
+    st.sample_count[graph.visible] += 1
 
 
 def grow_anchors(scaffold, tau_g, min_visibility):

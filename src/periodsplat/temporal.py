@@ -10,29 +10,16 @@ input, and raster.render_backward holds the adjoint of that fusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import OutOfRange, ShapeMismatch
 
 
-@dataclass
-class TimeEncoding:
-    """Period weight vector for one timestamp.
-
-    weights sums to 1, has at most two nonzero entries, and those entries
-    are adjacent period indices. At integer t it is exactly one-hot.
-    """
-
-    weights: np.ndarray
-    t: float
-
-
 def encode_time(t, T):
-    """Build the T-dimensional period encoding for timestamp t.
+    """The (T,) period weight vector of timestamp t.
 
-    Integer timestamps yield exact one-hot vectors; fractional timestamps
+    It sums to 1 and has at most two nonzero entries, at adjacent period
+    indices: integer timestamps yield exact one-hot vectors, fractional ones
     interpolate linearly between the two adjacent period slots.
     """
     t = float(t)
@@ -44,28 +31,28 @@ def encode_time(t, T):
     w = t - lo
     weights[lo] = 1.0 - w
     weights[hi] += w
-    return TimeEncoding(weights=weights, t=t)
+    return weights
 
 
 def reduce_periods(M, e):
-    """Weighted sum of period rows: sum_tau e.weights[tau] * M[tau, :].
+    """Weighted sum of period rows: sum_tau e[tau] * M[tau, :].
 
     Exactly one-hot encodings return the selected row bitwise (a copy).
     """
     M = np.asarray(M)
-    if M.shape[0] != e.weights.shape[0]:
-        raise ShapeMismatch(f"matrix has {M.shape[0]} period rows, encoding has {e.weights.shape[0]}")
-    nz = np.nonzero(e.weights)[0]
-    if nz.size == 1 and e.weights[nz[0]] == 1.0:
+    if M.shape[0] != e.shape[0]:
+        raise ShapeMismatch(f"matrix has {M.shape[0]} period rows, encoding has {e.shape[0]}")
+    nz = np.nonzero(e)[0]
+    if nz.size == 1 and e[nz[0]] == 1.0:
         return M[nz[0]].copy()
-    return e.weights @ M
+    return e @ M
 
 
 def reduce_periods_many(M, e):
     """reduce_periods over a batch: M (N, T, d) -> (N, d)."""
-    if M.shape[1] != e.weights.shape[0]:
-        raise ShapeMismatch(f"matrix has {M.shape[1]} period rows, encoding has {e.weights.shape[0]}")
-    nz = np.nonzero(e.weights)[0]
-    if nz.size == 1 and e.weights[nz[0]] == 1.0:
+    if M.shape[1] != e.shape[0]:
+        raise ShapeMismatch(f"matrix has {M.shape[1]} period rows, encoding has {e.shape[0]}")
+    nz = np.nonzero(e)[0]
+    if nz.size == 1 and e[nz[0]] == 1.0:
         return M[:, nz[0], :].copy()
-    return np.einsum("t,ntd->nd", e.weights, M)
+    return np.einsum("t,ntd->nd", e, M)

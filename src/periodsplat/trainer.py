@@ -1,9 +1,9 @@
 """Training loop, densification orchestration, and checkpointing.
 
 Training has three phases: plain optimization until densify_start, a
-densification phase in [densify_start, densify_end] where statistics are
-collected (already from stats_start) and anchors are grown/pruned every
-densify_interval iterations, and pure optimization afterwards with the
+densification phase in [densify_start, densify_end] where anchors are
+grown/pruned every densify_interval iterations from statistics collected
+over [stats_start, densify_end], and pure optimization afterwards with the
 anchor structure frozen. Each iteration renders one training camera at its
 own integer period, applies the hybrid loss, backpropagates, and steps Adam
 on every parameter group.
@@ -55,7 +55,6 @@ class TrainConfig:
     densify_end: int = 20000
     densify_interval: int = 100
     stats_start: int = 500
-    stats_end: int = 1500
     tau_g: float = 0.0002
     loss_lambda: float = 0.8
     voxel_fraction: float = 0.001
@@ -75,8 +74,8 @@ class TrainConfig:
             raise ConfigInvalid("feature dimensions and K must be positive")
         if not (0 <= self.densify_start <= self.densify_end <= self.total_iters):
             raise ConfigInvalid("need 0 <= densify_start <= densify_end <= total_iters")
-        if not (0 <= self.stats_start <= self.stats_end):
-            raise ConfigInvalid("stats window is inverted")
+        if not (0 <= self.stats_start <= self.densify_start):
+            raise ConfigInvalid("need 0 <= stats_start <= densify_start")
         if self.densify_interval < 1:
             raise ConfigInvalid("densify_interval must be positive")
         if not (0.0 <= self.loss_lambda <= 1.0):
@@ -92,7 +91,7 @@ class TrainConfig:
         """Schedule scaled down from the full 40k run to workstation scale."""
         cfg = TrainConfig(
             total_iters=5000,
-            stats_start=100, stats_end=300,
+            stats_start=100,
             densify_start=300, densify_end=2500, densify_interval=100,
             voxel_fraction=0.04,
         )
@@ -106,6 +105,7 @@ class TrainConfig:
 _CONFIG_FIELDS = {f.name: f for f in fields(TrainConfig)}
 # Keys of deleted fields that older checkpoints' config text still holds: (old type,
 # the only value accepted, as a run now behaves, or None for any; what to set instead).
+# stats_end is accepted from densify_start on; see config_from_text.
 _RETIRED_KEYS = {
     "deterministic": ("bool", None, ""),
     "warmup_end": ("int", None, ""),
@@ -115,6 +115,7 @@ _RETIRED_KEYS = {
     "prune_min_samples": ("int", 0, "use densify_interval; half of it is the minimum"),
     "randomize_background": ("bool", False, "use background"),
     "balance_periods": ("bool", False, "each epoch is one permutation of all training cameras"),
+    "stats_end": ("int", None, "statistics run from stats_start to densify_end"),
 }
 
 
@@ -163,12 +164,17 @@ def config_from_text(text, base=None):
                 values[key] = val
         except ValueError as exc:
             raise ConfigInvalid(f"config key {key}: {exc}") from exc
-    for key, (_, kept, instead) in _RETIRED_KEYS.items():
-        value = values.pop(key, kept)
+    retired = {key: values.pop(key) for key in _RETIRED_KEYS if key in values}
+    for key, value in retired.items():
+        _, kept, instead = _RETIRED_KEYS[key]
         if kept is not None and value != kept:
             raise ConfigInvalid(f"config key {key} is retired and accepts only {kept!r}, "
                                 f"not {value!r}; {instead}")
-    return replace(cfg, **values)
+    cfg = replace(cfg, **values)
+    if retired.get("stats_end", cfg.densify_start) < cfg.densify_start:  # a gap in statistics
+        raise ConfigInvalid(f"config key stats_end is retired and accepts only values >= "
+                            f"densify_start={cfg.densify_start}; {_RETIRED_KEYS['stats_end'][2]}")
+    return cfg
 
 
 class TrainState:
@@ -245,9 +251,7 @@ def init_state(config, dataset):
 
 
 def _stats_enabled(config, iteration):
-    in_window = config.stats_start <= iteration < config.stats_end
-    in_densify = config.densify_start <= iteration <= config.densify_end
-    return in_window or in_densify
+    return config.stats_start <= iteration <= config.densify_end
 
 
 def _densify_due(config, iteration):

@@ -209,13 +209,13 @@ def test_criterion_3_temporal_encoding():
     rng = np.random.default_rng(303)
     for T in (1, 2, 3, 5, 8):
         for t in range(T):
-            w = temporal.encode_time(t, T).weights
+            w = temporal.encode_time(t, T)
             assert np.count_nonzero(w) == 1 and w[t] == 1.0
     worst_sum = 0.0
     for _ in range(1000):
         T = int(rng.integers(2, 9))
         t = rng.uniform(0, T - 1)
-        w = temporal.encode_time(t, T).weights
+        w = temporal.encode_time(t, T)
         worst_sum = max(worst_sum, abs(w.sum() - 1.0))
         nz = np.nonzero(w)[0]
         assert nz.size <= 2 and (nz.size < 2 or nz[1] == nz[0] + 1)
@@ -379,7 +379,7 @@ def test_criterion_9_determinism_persistence(tmp_path):
 
     dataset = generate_synthetic(single_blob_spec(T=2), tmp_path / "data")
     cfg = TrainConfig.desk_preset(
-        total_iters=60, stats_start=5, stats_end=15,
+        total_iters=60, stats_start=5,
         densify_start=15, densify_end=40, densify_interval=10,
         voxel_fraction=0.06, seed=9, log_interval=0)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

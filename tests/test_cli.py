@@ -1,6 +1,10 @@
 import hashlib
 import json
 import os
+import pathlib
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,7 +44,7 @@ def workspace(tmp_path_factory):
     ckpt = root / "model.ckpt"
     config = root / "train.cfg"
     config.write_text(
-        "total_iters=60\nstats_start=5\nstats_end=15\n"
+        "total_iters=60\nstats_start=5\n"
         "densify_start=15\ndensify_end=40\ndensify_interval=10\n"
         "voxel_fraction=0.06\nseed=3\nlog_interval=10\n")
     code = cli.main(["train", "--data", str(data_dir), "--out", str(ckpt),
@@ -95,6 +99,18 @@ def test_train_retired_key_changing_a_run_exit_2(workspace, tmp_path, capsys):
     assert code == 2
     assert "dtype" in capsys.readouterr().err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_train_stats_end_checked_against_set_overrides(workspace, tmp_path, capsys):
+    """A retired stats_end in a config file is checked against the
+    densify_start that a --set override gives the run."""
+    _, _, data_dir, _, config = workspace
+    old = tmp_path / "old.cfg"
+    old.write_text(config.read_text() + "stats_end=15\n")  # densify_start=15
+    code = cli.main(["train", "--data", str(data_dir), "--out", str(tmp_path / "x.ckpt"),
+                     "--config", str(old), "--set", "densify_start=20"])
+    assert code == 2
+    assert "stats_end" in capsys.readouterr().err
 
 
 def test_train_ablation_flags(workspace, tmp_path):
@@ -156,9 +172,11 @@ _POSE = {"width": 24, "height": 24, "fx": 23.0, "fy": 23.0, "cx": 12.0, "cy": 12
 @pytest.mark.parametrize("command", ["render", "interp"])
 @pytest.mark.parametrize("text,named", [
     (json.dumps({k: v for k, v in _POSE.items() if k != "width"}), "width"),
-    (json.dumps(_POSE)[:-5], "not valid JSON")])
+    (json.dumps(_POSE)[:-5], "not valid JSON"),
+    (json.dumps({**_POSE, "rotation": [0, 0, 0, 0]}), "quaternion")])
 def test_pose_file_faults_exit_2(workspace, tmp_path, capsys, command, text, named):
-    """A pose file that lacks a key or is not valid JSON is a usage error."""
+    """A pose file that lacks a key, is not valid JSON or holds a zero
+    quaternion is a usage error."""
     _, _, _, ckpt, _ = workspace
     pose = tmp_path / "pose.json"
     pose.write_text(text)
@@ -167,6 +185,72 @@ def test_pose_file_faults_exit_2(workspace, tmp_path, capsys, command, text, nam
                      "--out", str(tmp_path / "out"), *extra])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+def _set_fields(path, line, fields, values):
+    """Replace the given whitespace-separated fields of the 1-based line."""
+    lines = path.read_text().splitlines()
+    parts = lines[line - 1].split()
+    parts[fields] = values
+    lines[line - 1] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _no_points(data):
+    for sidecar in data.glob("points3D_*.txt"):
+        sidecar.unlink()
+    (data / "points3D.txt").write_text("# 3D point list\n")
+
+
+def _bad_spec(edit):
+    def argv(workspace, tmp_path):
+        spec = json.loads(json.dumps(SCENE_SPEC))
+        edit(spec)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return ["generate", "--spec", str(path), "--out", str(tmp_path / "out")]
+    return argv
+
+
+def _bad_data(edit):
+    def argv(workspace, tmp_path):
+        _, _, data_dir, _, config = workspace
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        edit(data)
+        return ["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
+                "--config", str(config), "--set", "total_iters=20", "--set", "densify_end=20"]
+    return argv
+
+
+@pytest.mark.parametrize("make_argv,code,named", [
+    (_bad_spec(lambda s: s["primitives"][0].update(opacity=2.0)), 2, "opacity"),
+    (_bad_spec(lambda s: s["primitives"][1].update(scale=[0.2, -0.2, 0.25])), 2, "scale"),
+    (_bad_spec(lambda s: s.update(width=0)), 2, "width"),
+    (_bad_data(lambda d: _set_fields(d / "cameras.txt", 2, slice(4, 5), ["0"])), 3,
+     "cameras.txt:2"),
+    (_bad_data(lambda d: _set_fields(d / "cameras.txt", 2, slice(4, 5), ["nan"])), 3,
+     "cameras.txt:2"),
+    (_bad_data(lambda d: _set_fields(d / "images.txt", 2, slice(1, 5), ["0"] * 4)), 3,
+     "images.txt:2"),
+    (_bad_data(lambda d: _set_fields(d / "points3D_0.txt", 2, slice(1, 2), ["nan"])), 3,
+     "points3D_0.txt:2"),
+    (_bad_data(_no_points), 3, "no sparse points"),
+], ids=["opacity", "scale", "width", "fx-zero", "fx-nan", "quat-zero", "point-nan",
+        "no-points"])
+def test_non_finite_or_out_of_range_input_exit_code(workspace, tmp_path, make_argv, code,
+                                                    named):
+    """Out-of-range and non-finite values in a scene spec (exit 2) or a
+    dataset (exit 3) end in their documented exit code with a one-line
+    message, never a traceback or a run."""
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "periodsplat.cli",
+                           *make_argv(workspace, tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
 
 
 def test_interp_endpoints_match_render(workspace, tmp_path):
@@ -246,7 +330,7 @@ def test_inspect_fresh_checkpoint_iteration_zero(workspace, tmp_path, capsys):
     code = cli.main(["train", "--data", str(data_dir), "--out", str(out),
                      "--set", "total_iters=0", "--set", "densify_start=0",
                      "--set", "densify_end=0",
-                     "--set", "stats_start=0", "--set", "stats_end=0"])
+                     "--set", "stats_start=0"])
     assert code == 0
     assert cli.main(["inspect", "--ckpt", str(out)]) == 0
     assert "iteration: 0" in capsys.readouterr().out

@@ -42,3 +42,20 @@ def test_every_config_field_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and id(node) not in skipped}
     assert [f.name for f in fields(TrainConfig) if f.name not in read] == []
+
+
+def test_every_method_is_read():
+    """Every non-dunder method or property of a package class is read as an
+    attribute somewhere in the package outside its own body."""
+    unread = []
+    for module, tree in sorted(TREES.items()):
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("__"):
+                    continue
+                own = {id(inner) for inner in ast.walk(method)}
+                if not any(isinstance(node, ast.Attribute) and node.attr == method.name
+                           and isinstance(node.ctx, ast.Load) and id(node) not in own
+                           for other in TREES.values() for node in ast.walk(other)):
+                    unread.append(f"{module}:{cls.name}.{method.name}")
+    assert unread == []

@@ -5,7 +5,7 @@ from periodsplat import geom, raster
 from periodsplat.decoder import MlpWeights, DecoderWeights
 from periodsplat.errors import MissingForwardState
 from periodsplat.optim import l1_loss
-from periodsplat.temporal import TimeEncoding, encode_time
+from periodsplat.temporal import encode_time
 from types import SimpleNamespace
 
 from conftest import identity_camera, micro_scene
@@ -208,8 +208,7 @@ def test_render_integer_t_equals_manual_one_hot(rng):
     scaffold, weights, global_g = micro_scene(rng)
     cam = identity_camera()
     graph1 = raster.render(scaffold, cam, 1, weights, global_g)
-    e = TimeEncoding(weights=np.array([0.0, 1.0]), t=1.0)
-    assert np.array_equal(encode_time(1, 2).weights, e.weights)
+    assert np.array_equal(encode_time(1, 2), [0.0, 1.0])
     graph2 = raster.render(scaffold, cam, 1.0, weights, global_g)
     assert graph1.image.tobytes() == graph2.image.tobytes()
 
@@ -281,7 +280,9 @@ def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
     and with one so small that it spans several windows and width groups."""
     H, W = 16, 20
     cam = identity_camera(width=W, height=H, fx=18.0, fy=18.0, z_offset=2.0)
-    scenes = [raster._empty_splats(), buried_splats(rng, H, W)]
+    no_splat = explicit_splats(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0),
+                               np.zeros((0, 3)), H, W)
+    scenes = [no_splat, buried_splats(rng, H, W)]
     for trial in range(12):
         gaussians = random_gaussians(rng, int(rng.integers(1, 60)))
         if trial % 3 == 0:  # opaque enough that some pixels stop

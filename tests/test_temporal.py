@@ -9,16 +9,16 @@ from conftest import central_difference, identity_camera, micro_scene
 
 def test_encode_integer_one_hot():
     e = temporal.encode_time(2, 3)
-    np.testing.assert_array_equal(e.weights, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(e, [0.0, 0.0, 1.0])
     for T in (1, 2, 5):
         for t in range(T):
-            w = temporal.encode_time(t, T).weights
+            w = temporal.encode_time(t, T)
             assert w[t] == 1.0 and w.sum() == 1.0 and np.count_nonzero(w) == 1
 
 
 def test_encode_fractional():
-    np.testing.assert_array_equal(temporal.encode_time(0.5, 3).weights, [0.5, 0.5, 0.0])
-    np.testing.assert_array_equal(temporal.encode_time(1.25, 4).weights, [0.0, 0.75, 0.25, 0.0])
+    np.testing.assert_array_equal(temporal.encode_time(0.5, 3), [0.5, 0.5, 0.0])
+    np.testing.assert_array_equal(temporal.encode_time(1.25, 4), [0.0, 0.75, 0.25, 0.0])
 
 
 def test_encode_out_of_range():
@@ -32,7 +32,7 @@ def test_encode_random_properties(rng):
     for _ in range(1000):
         T = int(rng.integers(2, 7))
         t = rng.uniform(0, T - 1)
-        w = temporal.encode_time(t, T).weights
+        w = temporal.encode_time(t, T)
         assert abs(w.sum() - 1.0) <= 1e-12
         nz = np.nonzero(w)[0]
         assert 1 <= nz.size <= 2
@@ -45,8 +45,8 @@ def test_encode_continuity(rng):
         T = int(rng.integers(2, 6))
         t = rng.uniform(0, T - 1.001)
         delta = rng.uniform(0, min(0.3, np.floor(t) + 1 - t - 1e-9))
-        e1 = temporal.encode_time(t, T).weights
-        e2 = temporal.encode_time(t + delta, T).weights
+        e1 = temporal.encode_time(t, T)
+        e2 = temporal.encode_time(t + delta, T)
         assert np.abs(e2 - e1).sum() <= 2 * delta + 1e-12
 
 
@@ -73,7 +73,7 @@ def test_reduce_fractional_matches_direct_sum(rng):
         M = rng.normal(size=(T, 4))
         t = rng.uniform(0, T - 1)
         e = temporal.encode_time(t, T)
-        expected = sum(e.weights[tau] * M[tau] for tau in range(T))
+        expected = sum(e[tau] * M[tau] for tau in range(T))
         np.testing.assert_allclose(temporal.reduce_periods(M, e), expected, atol=1e-14)
 
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from periodsplat import trainer as tr
-from periodsplat.dataio import PrimitiveSpec, SyntheticSceneSpec, generate_synthetic
+from periodsplat.dataio import (PrimitiveSpec, SyntheticSceneSpec, generate_synthetic,
+                                look_at_camera)
 from periodsplat.errors import (ConfigInvalid, CorruptChecksum, EmptyDataset,
                                 InternalError, VersionMismatch)
-from periodsplat.scaffold import ROW_FIELDS
+from periodsplat.scaffold import ROW_FIELDS, accumulate_stats, apply_keep_mask
 
 from conftest import CHECKPOINT_FAULTS, rewrite_checkpoint
 
@@ -32,13 +33,14 @@ def tiny_dataset(tmp_path_factory):
 
 
 def tiny_config(**over):
-    base = dict(total_iters=40, stats_start=5, stats_end=15,
+    base = dict(total_iters=40, stats_start=5,
                 densify_start=15, densify_end=30, densify_interval=10,
                 voxel_fraction=0.06, seed=3, log_interval=0)
     base.update(over)
     total = base["total_iters"]
     base["densify_end"] = min(base["densify_end"], total)
     base["densify_start"] = min(base["densify_start"], base["densify_end"])
+    base["stats_start"] = min(base["stats_start"], base["densify_start"])
     return tr.TrainConfig.desk_preset(**base)
 
 
@@ -82,6 +84,7 @@ def test_config_bad_value_rejected():
     ("prune_min_samples", ["0"], "3"),
     ("randomize_background", ["false", "0"], "true"),
     ("balance_periods", ["false", "0"], "true"),
+    ("stats_end", ["1500", "20000"], "1499"),  # densify_start is 1500
 ])
 def test_config_retired_key_values(key, kept, changed):
     """A retired key loads as a no-op only at a value the program still
@@ -93,12 +96,20 @@ def test_config_retired_key_values(key, kept, changed):
     assert key in str(err.value)
 
 
+def test_config_stats_end_checked_after_parsing():
+    """A retired stats_end is compared with the densify_start of the parsed
+    text, also when stats_end comes first, as in old checkpoints."""
+    old = "stats_start=100\nstats_end=300\ndensify_start=300\n"
+    assert tr.config_from_text(old) == tr.TrainConfig(stats_start=100, densify_start=300)
+    with pytest.raises(ConfigInvalid, match="stats_end"):
+        tr.config_from_text(old.replace("densify_start=300", "densify_start=301"))
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
 def test_train_zero_iters_checkpoint_equals_init(tiny_dataset, tmp_path):
-    cfg = tiny_config(total_iters=0, stats_start=0, stats_end=0,
-                      densify_start=0, densify_end=0)
+    cfg = tiny_config(total_iters=0, stats_start=0, densify_start=0, densify_end=0)
     state = tr.train(cfg, tiny_dataset, out_path=tmp_path / "a.ckpt")
     fresh = tr.init_state(cfg, tiny_dataset)
     assert state.iteration == 0
@@ -110,7 +121,7 @@ def test_train_zero_iters_checkpoint_equals_init(tiny_dataset, tmp_path):
 
 def test_training_loss_decreases(tiny_dataset):
     """Windowed average training loss decreases over a short smoke run."""
-    cfg = tiny_config(total_iters=200, stats_start=10, stats_end=40,
+    cfg = tiny_config(total_iters=200, stats_start=10,
                       densify_start=40, densify_end=150, densify_interval=50, seed=7)
     state = tr.init_state(cfg, tiny_dataset)
     cam = tiny_dataset.train_cameras()[0]
@@ -208,6 +219,61 @@ def test_densify_keeps_row_arrays_aligned(tiny_dataset):
                                atol=1e-12)
     assert not (s.f_base[-1].any() or s.f_var[-1].any() or s.offsets[-1].any())
     assert (s.offset_scale[-1] == s.voxel_size).all() and (s.shape_scale[-1] == s.voxel_size).all()
+
+
+def _facing_away(state, cam):
+    center = cam.center()
+    return look_at_camera(cam.id, center, 2 * center, cam.width, cam.height, 55.0,
+                          cam.period, cam.image_name)
+
+
+def _all_slots_inactive(state, cam):
+    state.weights.opacity.b2[:] = -100.0
+    return cam
+
+
+def _pruned_to_zero(state, cam):
+    keep = np.zeros(len(state.scaffold), dtype=bool)
+    apply_keep_mask(state.scaffold, keep)
+    for group in state.groups.values():
+        if group.row_state:
+            group.resize_rows(getattr(state.scaffold, group.name), 0, keep)
+    return cam
+
+
+@pytest.mark.parametrize("empty_view,visible", [
+    (_facing_away, False), (_all_slots_inactive, True), (_pruned_to_zero, False)],
+    ids=["facing-away", "all-slots-inactive", "pruned-to-zero"])
+def test_empty_frame(tiny_dataset, rng, empty_view, visible):
+    """A view that composites no splat renders the background bitwise, its
+    adjoint returns every gradient at full shape and zero, the statistics
+    sample only the visible anchors, and a training step on it is finite."""
+    state = tr.init_state(tiny_config(background=(0.2, 0.4, 0.6)), tiny_dataset)
+    state.iteration = 7  # inside the statistics window
+    cam = empty_view(state, tiny_dataset.train_cameras()[0])
+    graph = tr.render_from_state(state, cam, cam.period)
+    assert graph.splats.mean2d.shape[0] == 0 and (graph.visible.size > 0) == visible
+    background = np.broadcast_to(state.config.background, graph.image.shape)
+    assert graph.image.tobytes() == background.tobytes()
+
+    grads = tr.raster.render_backward(graph, rng.normal(size=graph.image.shape))
+    pairs = [(getattr(grads, name), getattr(state.scaffold, name))
+             for name, group in state.groups.items() if group.row_state]
+    pairs.append((grads.g, state.global_g))
+    for head in ("opacity", "color", "covariance"):
+        pairs += zip(getattr(grads, f"{head}_mlp").arrays(), getattr(state.weights, head).arrays())
+    for grad, param in pairs:
+        assert grad.shape == param.shape and not grad.any()
+    assert grads.splat_mean2d.shape == (0, 2)
+
+    accumulate_stats(state.scaffold, graph, grads)
+    st = state.scaffold.stats
+    np.testing.assert_array_equal(st.sample_count, np.isin(np.arange(len(state.scaffold)),
+                                                           graph.visible))
+    assert not (st.visible_count.any() or st.grad_norm_sum.any() or st.opacity_sum.any())
+
+    report = tr.training_step(state, cam, tiny_dataset.images[cam.id])
+    assert np.isfinite(report.total)
 
 
 def _optimizer_bytes(state):
@@ -431,7 +497,8 @@ _NO_SCIPY_SCRIPT = """
 import sys
 import numpy as np
 from periodsplat import trainer as tr
-from periodsplat.dataio import PrimitiveSpec, SyntheticSceneSpec, generate_synthetic
+from periodsplat.dataio import (PrimitiveSpec, SyntheticSceneSpec, generate_synthetic,
+                                look_at_camera)
 from periodsplat.optim import hybrid_loss
 
 prim = PrimitiveSpec(mean=np.zeros(3), rotation=np.array([1.0, 0, 0, 0]),
