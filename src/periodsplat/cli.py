@@ -89,16 +89,14 @@ def _build_parser():
 
 
 def cmd_generate(args):
+    from dataclasses import replace
+
     from .dataio import generate_synthetic, spec_from_json
-    from .errors import MissingFile
     if not os.path.isfile(args.spec):
         raise _UsageError(f"scene spec not found: {args.spec}")
-    try:
-        spec = spec_from_json(args.spec)
-    except MissingFile as exc:
-        raise _UsageError(str(exc)) from exc
+    spec = spec_from_json(args.spec)
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = replace(spec, seed=args.seed)
     dataset = generate_synthetic(spec, args.out)
     print(f"wrote {len(dataset.cameras)} images across {dataset.T} periods to {args.out}",
           file=sys.stderr)
@@ -213,9 +211,12 @@ def cmd_interp(args):
 
 def cmd_eval(args):
     from .dataio import load_dataset
+    from .errors import EmptyDataset
     from .trainer import evaluate, load_checkpoint
     state = load_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
+    if not dataset.test_cameras():
+        raise EmptyDataset(f"{args.data} has no test view to evaluate")
     summary = evaluate(state, dataset)
     with open(args.out, "w") as f:
         for t, entry in summary["per_period"].items():

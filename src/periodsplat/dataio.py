@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -371,19 +372,31 @@ class SyntheticSceneSpec:
     target: np.ndarray = None
 
     def __post_init__(self):
+        for name, minimum in (("T", 1), ("cams_per_period", 1), ("width", 1), ("height", 1),
+                              ("seed", 0), ("points_per_primitive", 1), ("test_every", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SpecInvalid(f"{name} must be an integer, got {value!r}")
+            if value < minimum:
+                raise SpecInvalid(f"{name} must be at least {minimum}, got {value}")
         if self.target is None:
             self.target = np.zeros(3)
         self.target = np.asarray(self.target, dtype=np.float64)
-        if self.T < 1:
-            raise SpecInvalid("need at least one period")
+        if self.target.shape != (3,) or not np.isfinite(self.target).all():
+            raise SpecInvalid(f"target must be three finite numbers, got {self.target}")
+        orbit = (self.orbit_radius, self.orbit_height)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                   for v in orbit):
+            raise SpecInvalid(f"orbit_radius and orbit_height must be finite numbers, got {orbit}")
+        if math.hypot(*orbit) == 0:
+            raise SpecInvalid("orbit_radius and orbit_height are both 0: "
+                              "every camera would sit on its target")
         if len(self.tint) != self.T:
             raise SpecInvalid("need one tint per period")
         for tint in self.tint:
             arr = np.asarray(tint, dtype=np.float64)
             if np.any(arr <= 0) or np.any(arr > 1):
                 raise SpecInvalid("tint components must lie in (0, 1]")
-        if self.test_every < 2:
-            raise SpecInvalid("test_every must be at least 2")
         if not (0.0 < self.arc_frac <= 1.0):
             raise SpecInvalid("arc_frac must lie in (0, 1]")
         for t in range(self.T):
@@ -392,8 +405,6 @@ class SyntheticSceneSpec:
         for p in self.primitives:
             if any(t < 0 or t >= self.T for t in p.lifespan):
                 raise SpecInvalid("primitive lifespan outside [0, T)")
-        if not (self.width >= 1 and self.height >= 1):
-            raise SpecInvalid("width and height must be at least 1")
         if not (0 < self.fov_deg < 180):
             raise SpecInvalid("fov_deg must lie in (0, 180)")
         for t in range(self.T):
@@ -429,7 +440,7 @@ def spec_from_json(path):
             "orbit_radius", "orbit_height", "cams_per_period", "width", "height",
             "fov_deg", "seed", "points_per_primitive", "test_every", "arc_frac",
             "target") if k in raw}
-        return SyntheticSceneSpec(T=int(raw["T"]), primitives=prims, tint=raw["tint"], **kwargs)
+        return SyntheticSceneSpec(T=raw["T"], primitives=prims, tint=raw["tint"], **kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecInvalid(f"bad scene spec: {exc}") from exc
 

@@ -96,8 +96,8 @@ def decode_anchors(positions, offsets, offset_scale, shape_scale, h, camera, wei
     """Decode a batch of anchors for one camera.
 
     positions (V, 3), offsets (V, K, 3), offset_scale / shape_scale (V, 3),
-    h (V, d_h) fused features. Returns (batch, state): batch holds the
-    decoded attributes, state everything the backward pass needs.
+    h (V, d_h) fused features. Returns one namespace: the decoded
+    attributes and the intermediates that decode_backward reads.
     """
     V = positions.shape[0]
     K = weights.K
@@ -128,18 +128,13 @@ def decode_anchors(positions, offsets, offset_scale, shape_scale, h, camera, wei
     means = positions[:, None, :] + offset_scale[:, None, :] * offsets
     active = raw_opacity > 0.0
 
-    batch = SimpleNamespace(means=means, rotations=q_unit, scales=scales,
-                            raw_opacity=raw_opacity, colors=colors, active=active)
-    state = SimpleNamespace(
-        u=u, h_dim=h.shape[1], V=V, K=K,
-        z1_o=z1_o, a1_o=a1_o, z1_c=z1_c, a1_c=a1_c, z1_g=z1_g, a1_g=a1_g,
-        raw_opacity=raw_opacity, colors=colors,
-        q_raw=q_raw, q_norm=safe_norm, q_unit=q_unit, fallback=fallback,
-        logits=logits, sp=sp,
+    return SimpleNamespace(
+        means=means, rotations=q_unit, scales=scales,
+        raw_opacity=raw_opacity, colors=colors, active=active,
+        u=u, z1_o=z1_o, a1_o=a1_o, z1_c=z1_c, a1_c=a1_c, z1_g=z1_g, a1_g=a1_g,
+        q_norm=safe_norm, fallback=fallback, logits=logits, sp=sp,
         offsets=offsets, offset_scale=offset_scale, shape_scale=shape_scale,
-        active=active,
     )
-    return batch, state
 
 
 def _head_backward(w, u, z1, a1, g_out):
@@ -161,12 +156,13 @@ def decode_backward(state, weights, g_means, g_quats, g_scales, g_opacity, g_col
     (V, K, ...). Gradients attributable to inactive slots are forced to
     exactly zero. Returns a namespace with gradients on the fused features,
     the three heads' weights, and the per-anchor offsets and scales; the
-    direction input carries no learnable parameters and is discarded.
+    direction input (the last 3 columns of u) is discarded.
     """
     if state is None:
         raise MissingForwardState("decode_backward needs the forward state")
     act = state.active
     actf = act[..., None]
+    V, K = act.shape
 
     g_means = np.where(actf, g_means, 0.0)
     g_offsets = state.offset_scale[:, None, :] * g_means
@@ -178,16 +174,16 @@ def decode_backward(state, weights, g_means, g_quats, g_scales, g_opacity, g_col
 
     g_quats = np.where(actf, g_quats, 0.0)
     # q = q_raw / ||q_raw||: the Jacobian projects out the radial component.
-    dot = (state.q_unit * g_quats).sum(axis=-1, keepdims=True)
-    g_q_raw = (g_quats - state.q_unit * dot) / state.q_norm[..., None]
+    dot = (state.rotations * g_quats).sum(axis=-1, keepdims=True)
+    g_q_raw = (g_quats - state.rotations * dot) / state.q_norm[..., None]
     g_q_raw = np.where(state.fallback[..., None], 0.0, g_q_raw)
 
     g_out_o = np.where(act, g_opacity * (1.0 - state.raw_opacity ** 2), 0.0)
     g_colors = np.where(actf, g_colors, 0.0)
     sig = state.colors
     # Widths are explicit: reshape cannot infer -1 when V = 0.
-    g_out_c = (g_colors * sig * (1.0 - sig)).reshape(state.V, 3 * state.K)
-    g_out_g = np.concatenate([g_q_raw, g_logits], axis=-1).reshape(state.V, 7 * state.K)
+    g_out_c = (g_colors * sig * (1.0 - sig)).reshape(V, 3 * K)
+    g_out_g = np.concatenate([g_q_raw, g_logits], axis=-1).reshape(V, 7 * K)
 
     w_o, g_u_o = _head_backward(weights.opacity, state.u, state.z1_o, state.a1_o, g_out_o)
     w_c, g_u_c = _head_backward(weights.color, state.u, state.z1_c, state.a1_c, g_out_c)
@@ -195,7 +191,7 @@ def decode_backward(state, weights, g_means, g_quats, g_scales, g_opacity, g_col
 
     g_u = g_u_o + g_u_c + g_u_g
     return SimpleNamespace(
-        h=g_u[:, :state.h_dim],
+        h=g_u[:, :-3],
         opacity=w_o, color=w_c, covariance=w_g,
         offsets=g_offsets, offset_scale=g_offset_scale, shape_scale=g_shape_scale,
     )

@@ -194,18 +194,17 @@ class ParamGroup:
     params: list
     schedule: LrSchedule
     row_state: bool = False
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    step: list = field(default_factory=list)
+    m: list = field(init=False)
+    v: list = field(init=False)
+    step: list = field(init=False)
 
     def __post_init__(self):
-        if not self.m:
-            self.m = [np.zeros_like(p) for p in self.params]
-            self.v = [np.zeros_like(p) for p in self.params]
-            if self.row_state:
-                self.step = [np.zeros(p.shape[0], dtype=np.int64) for p in self.params]
-            else:
-                self.step = [0 for _ in self.params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
+        if self.row_state:
+            self.step = [np.zeros(p.shape[0], dtype=np.int64) for p in self.params]
+        else:
+            self.step = [0 for _ in self.params]
 
     def resize_rows(self, param, added, keep):
         """Follow a grow and a prune of the one array of a row_state group:

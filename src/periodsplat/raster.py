@@ -396,30 +396,24 @@ def render_gaussians(gaussians, camera, background=(0.0, 0.0, 0.0), use_threshol
 
 
 def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0),
-           use_thresholds=True, ablate=(False, False, False)):
+           use_thresholds=True):
     """Full forward render of the scaffold at timestamp t.
 
-    ablate = (base, var, global) zeroes the matching feature component
-    before fusion without touching any parameter shapes. Returns a
+    The decoder input of each visible anchor is its base row, its period
+    rows reduced at t and the reduced global row, concatenated. Returns a
     RenderGraph retaining every intermediate the backward pass needs.
     """
     background = np.asarray(background, dtype=np.float64)
     e = encode_time(t, scaffold.T)
     vis = visible_anchors(scaffold, camera)
-    V = vis.shape[0]
-    d_b, d_v = scaffold.d_b, scaffold.d_v
-    d_g = global_rows.shape[1]
+    glob = reduce_periods(global_rows, e)
+    h = np.concatenate([scaffold.f_base[vis], reduce_periods_many(scaffold.f_var[vis], e),
+                        np.broadcast_to(glob, (vis.shape[0], glob.shape[0]))], axis=1)
 
-    base = np.zeros((V, d_b)) if ablate[0] else scaffold.f_base[vis]
-    local = np.zeros((V, d_v)) if ablate[1] else reduce_periods_many(scaffold.f_var[vis], e)
-    glob = np.zeros(d_g) if ablate[2] else reduce_periods(global_rows, e)
-    h = np.concatenate([base, local, np.broadcast_to(glob, (V, d_g))], axis=1)
-
-    batch, dstate = decode_anchors(
+    batch = decode_anchors(
         scaffold.positions[vis], scaffold.offsets[vis], scaffold.offset_scale[vis],
         scaffold.shape_scale[vis], h, camera, weights)
 
-    K = scaffold.K
     act_rows, act_slots = np.nonzero(batch.active)
     splats, proj = _project_and_cull(
         camera,
@@ -436,10 +430,10 @@ def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0)
     max_opacity = np.maximum(batch.raw_opacity, 0.0).max(axis=1)
     return SimpleNamespace(
         image=image, background=background, camera=camera, encoding=e,
-        use_thresholds=use_thresholds, ablate=tuple(ablate),
+        use_thresholds=use_thresholds,
         visible=vis, n_anchors=len(scaffold),
-        d_b=d_b, d_v=d_v, d_g=d_g, K=K, T=scaffold.T,
-        h=h, decode_state=dstate, batch=batch, proj=proj,
+        d_b=scaffold.d_b, d_v=scaffold.d_v, K=scaffold.K,
+        h=h, batch=batch, proj=proj,
         weights_ref=weights,
         splats=splats,
         splat_anchors=vis[splats.rows],
@@ -456,15 +450,14 @@ def render_backward(graph, grad_image):
     that were not visible), the decoder weight gradients, and the per-splat
     2D positional gradients used by the densification statistics.
     """
-    if graph.decode_state is None:
-        raise MissingForwardState("render graph is missing its decode state")
+    if graph.batch is None:
+        raise MissingForwardState("render graph is missing its decoded batch")
     splats = graph.splats
     g_mean2d, g_cov, g_opacity_s, g_color_s = _composite_backward(
         splats, graph.camera, graph.background, graph.use_thresholds,
         graph.final_trans, graph.stop, grad_image)
 
-    V = graph.visible.shape[0]
-    K = graph.K
+    V, K = graph.batch.active.shape
     g_means_g = np.zeros((V, K, 3))
     g_quats_g = np.zeros((V, K, 4))
     g_scales_g = np.zeros((V, K, 3))
@@ -484,31 +477,26 @@ def render_backward(graph, grad_image):
     g_opac_g[r, s] = g_opacity_s
     g_color_g[r, s] = g_color_s
 
-    dg = decode_backward(graph.decode_state, graph.weights_ref, g_means_g, g_quats_g,
+    dg = decode_backward(graph.batch, graph.weights_ref, g_means_g, g_quats_g,
                          g_scales_g, g_opac_g, g_color_g)
 
     n = graph.n_anchors
     vis = graph.visible
+    d_b, d_v = graph.d_b, graph.d_v
     out = SimpleNamespace(
-        f_base=np.zeros((n, graph.d_b)),
-        f_var=np.zeros((n, graph.T, graph.d_v)),
+        f_base=np.zeros((n, d_b)),
+        f_var=np.zeros((n, graph.encoding.size, d_v)),
         offsets=np.zeros((n, K, 3)),
         offset_scale=np.zeros((n, 3)),
         shape_scale=np.zeros((n, 3)),
-        g=np.zeros((graph.T, graph.d_g)),
+        g=graph.encoding[:, None] * dg.h[:, d_b + d_v:].sum(axis=0)[None, :],
         opacity_mlp=dg.opacity,
         color_mlp=dg.color,
         covariance_mlp=dg.covariance,
         splat_mean2d=g_mean2d,
     )
-    if not graph.ablate[0]:
-        out.f_base[vis] = dg.h[:, :graph.d_b]
-    if not graph.ablate[1]:
-        mid = dg.h[:, graph.d_b:graph.d_b + graph.d_v]
-        out.f_var[vis] = np.einsum("t,vd->vtd", graph.encoding, mid)
-    if not graph.ablate[2]:
-        tail = dg.h[:, graph.d_b + graph.d_v:]
-        out.g = graph.encoding[:, None] * tail.sum(axis=0)[None, :]
+    out.f_base[vis] = dg.h[:, :d_b]
+    out.f_var[vis] = np.einsum("t,vd->vtd", graph.encoding, dg.h[:, d_b:d_b + d_v])
     out.offsets[vis] = dg.offsets
     out.offset_scale[vis] = dg.offset_scale
     out.shape_scale[vis] = dg.shape_scale

@@ -6,7 +6,7 @@ grown/pruned every densify_interval iterations from statistics collected
 over [stats_start, densify_end], and pure optimization afterwards with the
 anchor structure frozen. Each iteration renders one training camera at its
 own integer period, applies the hybrid loss, backpropagates, and steps Adam
-on every parameter group.
+on every parameter group but those of the ablated feature components.
 
 Checkpoints are a single binary file: magic "CGS1", length-prefixed named
 sections, trailing CRC-32, all tensors little-endian with floats widened to
@@ -262,8 +262,7 @@ def _densify_due(config, iteration):
 def render_from_state(state, camera, t):
     return raster.render(
         state.scaffold, camera, t, state.weights, state.global_g,
-        background=np.asarray(state.config.background, dtype=np.float64),
-        ablate=state.config.ablate)
+        background=np.asarray(state.config.background, dtype=np.float64))
 
 
 def training_step(state, camera, image):
@@ -290,6 +289,7 @@ def training_step(state, camera, image):
 
     if _stats_enabled(cfg, state.iteration):
         accumulate_stats(state.scaffold, graph, grads)
+    # An ablated component starts at zero and is never stepped, so it stays zero.
     frozen = {name for name, off in zip(("f_base", "f_var", "global_g"), cfg.ablate) if off}
     for name, group in state.groups.items():
         if name in frozen:

@@ -227,6 +227,11 @@ def _bad_data(edit):
     (_bad_spec(lambda s: s["primitives"][0].update(opacity=2.0)), 2, "opacity"),
     (_bad_spec(lambda s: s["primitives"][1].update(scale=[0.2, -0.2, 0.25])), 2, "scale"),
     (_bad_spec(lambda s: s.update(width=0)), 2, "width"),
+    (_bad_spec(lambda s: s.update(orbit_radius=0, orbit_height=0)), 2, "orbit_radius"),
+    (_bad_spec(lambda s: s.update(points_per_primitive=-3)), 2, "points_per_primitive"),
+    (_bad_spec(lambda s: s.update(width=16.5)), 2, "width"),
+    (_bad_spec(lambda s: s.update(cams_per_period=0)), 2, "cams_per_period"),
+    (_bad_spec(lambda s: s.update(seed=-1)), 2, "seed"),
     (_bad_data(lambda d: _set_fields(d / "cameras.txt", 2, slice(4, 5), ["0"])), 3,
      "cameras.txt:2"),
     (_bad_data(lambda d: _set_fields(d / "cameras.txt", 2, slice(4, 5), ["nan"])), 3,
@@ -236,7 +241,8 @@ def _bad_data(edit):
     (_bad_data(lambda d: _set_fields(d / "points3D_0.txt", 2, slice(1, 2), ["nan"])), 3,
      "points3D_0.txt:2"),
     (_bad_data(_no_points), 3, "no sparse points"),
-], ids=["opacity", "scale", "width", "fx-zero", "fx-nan", "quat-zero", "point-nan",
+], ids=["opacity", "scale", "width", "orbit-on-target", "points-negative", "width-fraction",
+        "no-cameras", "seed-negative", "fx-zero", "fx-nan", "quat-zero", "point-nan",
         "no-points"])
 def test_non_finite_or_out_of_range_input_exit_code(workspace, tmp_path, make_argv, code,
                                                     named):
@@ -309,6 +315,21 @@ def test_eval_report(workspace, tmp_path):
     assert len(summary) == 1
     mean_psnr = np.mean([r["psnr"] for r in per_period])
     assert abs(summary[0]["psnr"] - mean_psnr) < 1e-12
+
+
+def test_eval_without_test_views_exit_3(workspace, tmp_path, capsys):
+    """A dataset whose split marks every view train has nothing to evaluate:
+    eval refuses it instead of reporting 0 dB."""
+    _, _, data_dir, ckpt, _ = workspace
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    split = data / "split.txt"
+    split.write_text(split.read_text().replace(" test\n", " train\n"))
+    report = tmp_path / "r.jsonl"
+    assert cli.main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--out", str(report)]) == 3
+    assert "no test view" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_inspect_output(workspace, capsys):

@@ -28,7 +28,7 @@ def random_anchor(rng, K=4):
 
 def decode_one(anchor, h, camera, weights):
     """decode_anchors over a batch of one anchor; returns that anchor's slots."""
-    batch, _ = dec.decode_anchors(
+    batch = dec.decode_anchors(
         anchor.position[None], anchor.offsets[None], anchor.offset_scale[None],
         anchor.shape_scale[None], h[None], camera, weights)
     return SimpleNamespace(**{key: value[0] for key, value in vars(batch).items()})
@@ -119,9 +119,9 @@ def test_backward_all_inactive_zero(rng):
     V, K = 2, 3
     positions, offsets, osc, ssc, h, _, cam = _batched_setup(rng, V=V, K=K)
     weights = dec.init_decoder_weights(rng, 17, 8, K, opacity_bias=-3.0)  # all inactive
-    batch, state = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
+    batch = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
     assert not batch.active.any()
-    g = dec.decode_backward(state, weights,
+    g = dec.decode_backward(batch, weights,
                             rng.normal(size=(V, K, 3)), rng.normal(size=(V, K, 4)),
                             rng.normal(size=(V, K, 3)), rng.normal(size=(V, K)),
                             rng.normal(size=(V, K, 3)))
@@ -133,7 +133,7 @@ def test_backward_all_inactive_zero(rng):
 def test_backward_finite_difference(rng):
     V, K = 3, 4
     positions, offsets, osc, ssc, h, weights, cam = _batched_setup(rng, V=V, K=K)
-    batch, state = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
+    batch = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
     act = batch.active
 
     gm = rng.normal(size=(V, K, 3)) * act[..., None]
@@ -141,10 +141,10 @@ def test_backward_finite_difference(rng):
     gs = rng.normal(size=(V, K, 3)) * act[..., None]
     go = rng.normal(size=(V, K)) * act
     gc = rng.normal(size=(V, K, 3)) * act[..., None]
-    g = dec.decode_backward(state, weights, gm, gq, gs, go, gc)
+    g = dec.decode_backward(batch, weights, gm, gq, gs, go, gc)
 
     def loss():
-        b, _ = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
+        b = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
         a = b.active
         return float((b.means * gm * a[..., None]).sum()
                      + (b.rotations * gq * a[..., None]).sum()
@@ -176,10 +176,10 @@ def test_backward_inactive_slots_exact_zero(rng):
     V, K = 2, 4
     positions, offsets, osc, ssc, h, weights, cam = _batched_setup(rng, V=V, K=K)
     weights.opacity.b2[:] = np.array([0.5, -0.5, 0.4, -0.4]) * 3
-    batch, state = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
+    batch = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
     assert not batch.active.all() and batch.active.any()
     gm = rng.normal(size=(V, K, 3))
-    g = dec.decode_backward(state, weights, gm, np.zeros((V, K, 4)),
+    g = dec.decode_backward(batch, weights, gm, np.zeros((V, K, 4)),
                             np.zeros((V, K, 3)), np.zeros((V, K)), np.zeros((V, K, 3)))
     inactive = ~batch.active
     assert not g.offsets[inactive].any()
@@ -194,13 +194,13 @@ def test_quaternion_gradient_orthogonal(rng):
     the raw-quaternion gradient is orthogonal to the unit quaternion."""
     V, K = 3, 4
     positions, offsets, osc, ssc, h, weights, cam = _batched_setup(rng, V=V, K=K)
-    batch, state = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
+    batch = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
     gq = rng.normal(size=(V, K, 4)) * batch.active[..., None]
-    dec.decode_backward(state, weights, np.zeros((V, K, 3)), gq,
+    dec.decode_backward(batch, weights, np.zeros((V, K, 3)), gq,
                         np.zeros((V, K, 3)), np.zeros((V, K)), np.zeros((V, K, 3)))
-    dot = (state.q_unit * gq).sum(axis=-1, keepdims=True)
-    g_q_raw = (gq - state.q_unit * dot) / state.q_norm[..., None]
-    ortho = (g_q_raw * state.q_unit).sum(axis=-1)
+    dot = (batch.rotations * gq).sum(axis=-1, keepdims=True)
+    g_q_raw = (gq - batch.rotations * dot) / batch.q_norm[..., None]
+    ortho = (g_q_raw * batch.rotations).sum(axis=-1)
     np.testing.assert_allclose(ortho[batch.active], 0.0, atol=1e-12)
 
 
@@ -208,7 +208,7 @@ def test_adjoint_dot_product(rng):
     """<g, J v> == <J^T g, v> through the whole decoder to 1e-10."""
     V, K = 3, 4
     positions, offsets, osc, ssc, h, weights, cam = _batched_setup(rng, V=V, K=K)
-    batch, state = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
+    batch = dec.decode_anchors(positions, offsets, osc, ssc, h, cam, weights)
     act = batch.active
 
     for _ in range(10):
@@ -217,7 +217,7 @@ def test_adjoint_dot_product(rng):
         gs = rng.normal(size=(V, K, 3)) * act[..., None]
         go = rng.normal(size=(V, K)) * act
         gc = rng.normal(size=(V, K, 3)) * act[..., None]
-        g = dec.decode_backward(state, weights, gm, gq, gs, go, gc)
+        g = dec.decode_backward(batch, weights, gm, gq, gs, go, gc)
 
         vh = rng.normal(size=h.shape)
         voff = rng.normal(size=offsets.shape)
@@ -236,7 +236,7 @@ def test_adjoint_dot_product(rng):
                 dec.MlpWeights(*[a + sign * eps * d for a, d in
                                  zip(getattr(weights, head).arrays(), vW[head])])
                 for head in ("opacity", "color", "covariance")])
-            b, _ = dec.decode_anchors(positions, off2, osc2, ssc2, h2, cam, w2)
+            b = dec.decode_anchors(positions, off2, osc2, ssc2, h2, cam, w2)
             return float((b.means * gm * act[..., None]).sum()
                          + (b.rotations * gq * act[..., None]).sum()
                          + (b.scales * gs * act[..., None]).sum()

@@ -445,7 +445,7 @@ def test_backward_single_splat_color_gradient():
 
 
 def test_backward_missing_state():
-    graph = SimpleNamespace(decode_state=None, visible=np.array([0]))
+    graph = SimpleNamespace(batch=None, visible=np.array([0]))
     with pytest.raises(MissingForwardState):
         raster.render_backward(graph, np.zeros((4, 4, 3)))
 
@@ -483,16 +483,24 @@ def test_activation_gate_flip_removes_contribution(rng):
 
 
 def test_full_render_backward_finite_difference(rng):
+    """Central differences through the whole render, with the thresholds off
+    in every render: a perturbation of h can move a pixel's alpha across the
+    skip threshold and the image by about 1/255. The guards keep every slot
+    away from the activation gate and every splat away from the cap."""
     scaffold, weights, global_g = micro_scene(rng)
     cam = identity_camera()
     target = rng.uniform(0, 1, size=(16, 16, 3))
     bg = np.array([0.1, 0.15, 0.2])
 
     def loss():
-        g = raster.render(scaffold, cam, 0, weights, global_g, background=bg)
+        g = raster.render(scaffold, cam, 0, weights, global_g, background=bg,
+                          use_thresholds=False)
         return l1_loss(g.image, target)[0]
 
-    graph = raster.render(scaffold, cam, 0, weights, global_g, background=bg)
+    graph = raster.render(scaffold, cam, 0, weights, global_g, background=bg,
+                          use_thresholds=False)
+    assert np.abs(graph.batch.raw_opacity).min() > 1e-4
+    assert graph.splats.opacity.max() < raster.ALPHA_CAP - 1e-4
     _, grad_img = l1_loss(graph.image, target)
     grads = raster.render_backward(graph, grad_img)
 

@@ -85,16 +85,13 @@ def test_reduce_shape_mismatch(rng):
 # ---------------------------------------------------------------------------
 # feature fusion, as raster.render and raster.render_backward run it
 
-ABLATIONS = [(True, False, False), (False, True, False), (False, False, True)]
-
-
-def fused(rng, t, ablate=(False, False, False), use_thresholds=True):
+def fused(rng, t, use_thresholds=True):
     """micro_scene rendered at t: the scene, the render graph, and the base,
     var and global blocks of the decoder input."""
     scaffold, weights, global_g = micro_scene(rng)
     graph = raster.render(scaffold, identity_camera(), t, weights, global_g,
                           background=np.array([0.1, 0.15, 0.2]),
-                          use_thresholds=use_thresholds, ablate=ablate)
+                          use_thresholds=use_thresholds)
     assert graph.visible.size == len(scaffold)
     h, d_b, d_v = graph.h, scaffold.d_b, scaffold.d_v
     blocks = (h[:, :d_b], h[:, d_b:d_b + d_v], h[:, d_b + d_v:])
@@ -127,19 +124,6 @@ def test_fuse_fractional_matches_hand_computation(rng):
                                              (len(scaffold), 1)), atol=1e-15)
 
 
-def test_fuse_backward_zero():
-    """Each ablation flag zeroes its block of the decoder input, and only it,
-    and the gradients of the ablated component are exactly zero."""
-    _, _, full = fused(np.random.default_rng(5), 0.6)
-    for ablate in ABLATIONS:
-        _, graph, blocks = fused(np.random.default_rng(5), 0.6, ablate)
-        grads = raster.render_backward(graph, np.ones(graph.image.shape))
-        grads = (grads.f_base, grads.f_var, grads.g)
-        for off, block, ref, grad in zip(ablate, blocks, full, grads):
-            assert not block.any() if off else block.tobytes() == ref.tobytes()
-            assert not grad.any() if off else grad.any()
-
-
 def test_fuse_backward_one_hot_lands_in_row(rng):
     """At an integer timestamp the period gradients land in that period's rows only."""
     _, graph, _ = fused(rng, 1)
@@ -148,20 +132,20 @@ def test_fuse_backward_one_hot_lands_in_row(rng):
     assert not grads.g[0].any() and grads.g[1].any()
 
 
-def fusion_gradient_error(rng, t, ablate=(False, False, False), h=1e-5):
+def fusion_gradient_error(rng, t, h=1e-5):
     """Worst |fd - analytic| / max(1, |fd|) over f_base, f_var and g, with
     central differences of <G, image> through render against the gradient
     from render_backward. The render runs with the thresholds off: a pixel's
     alpha crossing the skip threshold moves the image by about 1/255, and a
     perturbation of h can make one cross (a difference of -199 against 0.178
     was seen). The fusion and its adjoint are the same code either way."""
-    (scaffold, weights, global_g), graph, _ = fused(rng, t, ablate, use_thresholds=False)
+    (scaffold, weights, global_g), graph, _ = fused(rng, t, use_thresholds=False)
     G = rng.normal(size=graph.image.shape)
     grads = raster.render_backward(graph, G)
 
     def loss():
         return float(np.vdot(G, raster.render(scaffold, graph.camera, t, weights, global_g,
-                                               graph.background, False, ablate).image))
+                                               graph.background, False).image))
 
     worst = 0.0
     for arr, grad in ((scaffold.f_base, grads.f_base), (scaffold.f_var, grads.f_var),
@@ -175,8 +159,3 @@ def test_fuse_backward_central_difference(rng):
     """The fusion adjoint inside render_backward at fractional timestamps."""
     assert max(fusion_gradient_error(rng, t) for t in (0.3, 0.75)) <= 1e-6
 
-
-def test_fuse_backward_exact_adjoint(rng):
-    """The fusion adjoint with each ablation flag, at t = 0.3 and 0.75."""
-    assert max(fusion_gradient_error(rng, t, ablate)
-               for ablate in ABLATIONS for t in (0.3, 0.75)) <= 1e-6

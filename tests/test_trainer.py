@@ -162,15 +162,44 @@ def test_ablate_var_and_global_time_independent(tiny_dataset):
     assert img0.tobytes() == img1.tobytes()
 
 
-def test_ablate_base_still_trains(tiny_dataset):
-    cfg = tiny_config(disable_base=True, total_iters=10)
+@pytest.mark.parametrize("component", [0, 1, 2], ids=["base", "var", "global"])
+def test_ablate_base_still_trains(tiny_dataset, component):
+    """An ablated component starts at zero and no Adam step touches it: after
+    training through one forced growth, its array (the grown row included),
+    its Adam state and its block of the decoder input are all zero, while
+    the other components train."""
+    flag = ("disable_base", "disable_var", "disable_global")[component]
+    cfg = tiny_config(**{flag: True})
     state = tr.init_state(cfg, tiny_dataset)
-    f_base_before = state.scaffold.f_base.copy()
-    for it in range(10):
-        cam = tr._next_camera(state, tiny_dataset)
-        report = tr.training_step(state, cam, tiny_dataset.images[cam.id])
-        assert np.isfinite(report.total)
-    np.testing.assert_array_equal(state.scaffold.f_base, f_base_before)  # frozen
+    s = state.scaffold
+
+    def train(iterations):
+        for _ in range(iterations):
+            cam = tr._next_camera(state, tiny_dataset)
+            report = tr.training_step(state, cam, tiny_dataset.images[cam.id])
+            assert np.isfinite(report.total)
+
+    train(10)
+    # Slot 0 of anchor 0 is hot and decodes two cells beyond the largest x of
+    # the scaffold; at 40 iterations the tiny scene grows nothing by itself.
+    target = s.positions[:, 0].max() + 2 * s.voxel_size
+    s.offsets[0, 0, 0] = (target - s.positions[0, 0]) / s.offset_scale[0, 0]
+    s.stats.grad_norm_sum[0, 0], s.stats.visible_count[0, 0] = 1.0, 100
+    n = len(s)
+    added, removed = tr.densify(state)
+    assert added == 1 and len(s) == n + 1 - removed
+    train(10)
+
+    arrays = (s.f_base, s.f_var, state.global_g)
+    assert not arrays[component].any()
+    assert all(a.any() for i, a in enumerate(arrays) if i != component)
+    group = state.groups[("f_base", "f_var", "global_g")[component]]
+    assert not (group.m[0].any() or group.v[0].any() or np.any(group.step[0]))
+    edges = np.cumsum([0, cfg.d_b, cfg.d_v, cfg.d_g])
+    block = slice(edges[component], edges[component + 1])
+    cam = tiny_dataset.test_cameras()[0]
+    for t in (0, 0.5, 1):
+        assert not tr.render_from_state(state, cam, t).h[:, block].any()
 
 
 def test_ablation_keeps_shapes(tiny_dataset):
