@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,8 +39,9 @@ FLOAT_FMT = "%.17g"
 # ---------------------------------------------------------------------------
 # PPM (P6, maxval 255)
 
-def read_ppm(path):
-    """Read a binary PPM into an (H, W, 3) float array in [0, 1]."""
+def read_ppm(path, raw=False):
+    """Read a binary PPM into an (H, W, 3) float array in [0, 1], or with
+    raw=True into its uint8 pixels."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -78,8 +80,12 @@ def read_ppm(path):
     need = width * height * 3
     if len(data) - pos < need:
         raise ParseError("truncated PPM pixel data", path=path)
-    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-    return pixels.reshape(height, width, 3).astype(np.float64) / 255.0
+    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(height, width, 3)
+    return pixels if raw else _unit_float(pixels)
+
+
+def _unit_float(pixels):
+    return pixels.astype(np.float64) / 255.0
 
 
 def write_ppm(path, image):
@@ -261,10 +267,27 @@ def load_periods(path):
 # ---------------------------------------------------------------------------
 # Dataset assembly
 
+class ImageStore(Mapping):
+    """Camera id -> (H, W, 3) float image in [0, 1], held as the 8-bit pixels
+    read from disk and converted on each access exactly as read_ppm does."""
+
+    def __init__(self, pixels):
+        self.pixels = pixels  # camera id -> (H, W, 3) uint8
+
+    def __getitem__(self, cam_id):
+        return _unit_float(self.pixels[cam_id])
+
+    def __iter__(self):
+        return iter(self.pixels)
+
+    def __len__(self):
+        return len(self.pixels)
+
+
 @dataclass
 class MultiPeriodDataset:
     cameras: list  # Camera, sorted by id, periods filled
-    images: dict  # camera id -> (H, W, 3) array in [0, 1]
+    images: Mapping  # camera id -> (H, W, 3) float array in [0, 1]
     per_period_points: list  # T arrays of (N_t, 3)
     split: dict  # camera id -> "train" | "test"
     T: int
@@ -324,13 +347,13 @@ def load_dataset(directory):
         for i, cam in enumerate(cameras):
             split[cam.id] = "train" if i % 2 == 0 else "test"
 
-    images = {}
+    pixels = {}
     for cam in cameras:
-        images[cam.id] = read_ppm(os.path.join(directory, "images", cam.image_name))
-        if images[cam.id].shape[:2] != (cam.height, cam.width):
+        pixels[cam.id] = read_ppm(os.path.join(directory, "images", cam.image_name), raw=True)
+        if pixels[cam.id].shape[:2] != (cam.height, cam.width):
             raise ParseError(f"image {cam.image_name!r} size does not match camera")
-    return MultiPeriodDataset(cameras=cameras, images=images, per_period_points=per_period,
-                              split=split, T=T)
+    return MultiPeriodDataset(cameras=cameras, images=ImageStore(pixels),
+                              per_period_points=per_period, split=split, T=T)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ JACOBIAN_CLAMP = 1.3
 
 def quat_normalize(q):
     q = np.asarray(q, dtype=np.float64)
-    norm = np.linalg.norm(q)
+    norm = np.sqrt(q.dot(q))  # np.linalg.norm's arithmetic, without its call overhead
     if not 0 < norm < np.inf:
         raise ValueError(f"quaternion {q.tolist()} has no finite nonzero norm")
     return q / norm

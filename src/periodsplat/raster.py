@@ -14,34 +14,34 @@ set to exactly 0, so it composites as a no-op (weight 0, factor 1.0) without
 a mask of its own. A frame with no visible anchor, no active slot or no
 splat on the image takes the same path in both passes, on zero-size arrays.
 
-Compositing works in windows: runs of consecutive depth-sorted splats whose
-bbox areas sum to at most WINDOW_PX. ahat does not depend on compositing
-order, so a window's alphas are computed first, many splats per numpy call:
-the splats are grouped by bbox width rounded up to WIDTH_QUANTUM, and each
-group stacks the bbox rows of its splats into one array. The per-splat loop
-then keeps only what depends on order: the transmittance and the colour in
-the forward, the transmittance and g . suffix in the backward. A splat
-whose bbox has stopped at every pixel is skipped (the forward still records
-its stop index). Nothing is kept between the passes: the RenderGraph holds
-only the final transmittance and the per-pixel stop index, and the backward
-recomputes each window's alphas. No buffer grows with a frame's total
-footprint.
+Compositing works on TILE x TILE pixel tiles. Each tile lists the terms
+of the splats whose bbox overlaps it, in depth order, and both passes work
+on blocks of at most BLOCK_CELLS (term, tile, pixel) cells: tiles whose
+lists have similar lengths share one (L, tiles, TILE * TILE) array, padded
+with terms of alpha 0, and a longer list is cut into chunks, each carrying
+the transmittance and colour of the ones before it as a prepended row, so
+no per-pixel buffer outgrows a block and the image. With thresholds on, a
+bbox is opacity-exact (no pixel outside it reaches ALPHA_SKIP), so a block
+needs no bbox mask. The transmittance is a multiply.accumulate and the
+colour an add.reduce along the term axis, both in term order at every
+pixel, so image, final_trans and stop are bitwise those of a term-by-term
+loop. A tile whose pixels have all stopped is skipped. The RenderGraph
+keeps only the final transmittance and the per-pixel stop index.
 
-render_backward replays the composite in reverse order, carrying the scalar
-field g . suffix (image gradient dotted with the colour composited behind
-the current term) and dividing the transmittance back in place. It stores
-each term's transmittance and g . suffix / (1 - ahat) in the window's
-arrays, from which the colour gradients and the moments of dL/dpower, and
-through them the opacity, mean and conic gradients, follow for a whole
-window at once. The gradients then chain through the projection, the
-decoder, and the feature fusion down to every learnable tensor. Capped,
-skipped and stopped terms receive exactly zero gradient, as do inactive
-slots.
+render_backward recomputes each block's alphas and scan, zeroes the terms
+at and after each pixel's stop index, and takes g . suffix (the image
+gradient dotted with the colour composited behind a term) as a reverse
+cumulative sum, chunk by chunk from the back; a later chunk's transmittance
+in front is the one behind it divided by the chunk's product. The colour
+gradients and the moments of dL/dpower, which carry the opacity, mean and
+conic gradients, follow per (tile, term) pair and are summed into the
+splats. The gradients then chain through the projection, the decoder, and
+the feature fusion down to every learnable tensor. Capped, skipped and
+stopped terms receive exactly zero gradient, as do inactive slots.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,24 +55,37 @@ from .temporal import encode_time, reduce_periods, reduce_periods_many
 ALPHA_CAP = 0.99
 ALPHA_SKIP = 1.0 / 255.0
 STOP_TRANSMITTANCE = 1e-4
-# 99%-mass radius of a 2D Gaussian: chi-square quantile, 2 dof.
-MASS_RADIUS_SQ = 9.210340371976184
 # With thresholds disabled the footprint is widened until the dropped tail
 # is below this value, so naive no-culling oracles agree to ~1e-8 per term.
 TAIL_EPS = 1e-8
-# Compositing computes alphas for a window of consecutive splats at a time:
-# WINDOW_PX bounds the window's padded bbox area, and widths are padded to a
-# multiple of WIDTH_QUANTUM so that similar splats share one array.
-WINDOW_PX = 1 << 15
-WIDTH_QUANTUM = 4
+# Compositing works on TILE x TILE pixel tiles, in blocks of at most
+# BLOCK_CELLS (term, tile, pixel) cells; a block takes no further tile once
+# that would add more than PAD_SLACK padding terms (fewer blocks against
+# fewer padded cells, measured on small frames).
+TILE = 8
+BLOCK_CELLS = 1 << 15
+PAD_SLACK = 32
 
 
 def _footprint_radius_sq(opacity, use_thresholds):
     """Squared Mahalanobis radius beyond which a splat cannot contribute."""
     if use_thresholds:
+        # alpha = opacity * exp(-r2 / 2) reaches ALPHA_SKIP at this radius;
+        # the margin covers the rounding of alpha, so that no pixel outside
+        # the bbox has a computed alpha of ALPHA_SKIP or more.
         r2 = 2.0 * np.log(np.maximum(opacity, ALPHA_SKIP) / ALPHA_SKIP)
-        return np.maximum(r2, MASS_RADIUS_SQ)
+        return r2 * (1.0 + 1e-6) + 1e-9
     return 2.0 * np.log(np.maximum(opacity, TAIL_EPS) / TAIL_EPS)
+
+
+def _footprint_bbox(mean2d, cov, opacity, use_thresholds, width, height):
+    """(M, 4) inclusive pixel bounds x0, x1, y0, y1 of each splat's footprint,
+    clipped to the image (x0 > x1 or y0 > y1 for a splat off the image)."""
+    r2 = _footprint_radius_sq(opacity, use_thresholds)
+    radius = np.sqrt(r2[:, None] * cov[:, [0, 2]])
+    lo = np.maximum(np.ceil(mean2d - radius - 0.5), 0)
+    hi = np.minimum(np.floor(mean2d + radius - 0.5), [width - 1, height - 1])
+    return np.stack((lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]), axis=1).astype(np.int64)
 
 
 def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots,
@@ -83,11 +96,7 @@ def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots
     Returns splat arrays sorted by (depth, row, slot), plus the saved
     projection state for the backward pass.
     """
-    # Drop entries that cannot contribute at all.
-    if use_thresholds:
-        keep = opacity > ALPHA_SKIP
-    else:
-        keep = opacity > TAIL_EPS
+    keep = opacity > (ALPHA_SKIP if use_thresholds else TAIL_EPS)  # the others add nothing
     means, quats, scales = means[keep], quats[keep], scales[keep]
     opacity, colors, rows, slots = opacity[keep], colors[keep], rows[keep], slots[keep]
 
@@ -101,15 +110,9 @@ def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots
     if np.any(det <= 0):
         raise InternalError("projected covariance is not positive definite")
 
-    r2 = _footprint_radius_sq(opacity, use_thresholds)
-    rx = np.sqrt(r2 * a)
-    ry = np.sqrt(r2 * c)
-    mx, my = proj.mean2d[:, 0], proj.mean2d[:, 1]
-    x0 = np.maximum(np.ceil(mx - rx - 0.5), 0).astype(np.int64)
-    x1 = np.minimum(np.floor(mx + rx - 0.5), camera.width - 1).astype(np.int64)
-    y0 = np.maximum(np.ceil(my - ry - 0.5), 0).astype(np.int64)
-    y1 = np.minimum(np.floor(my + ry - 0.5), camera.height - 1).astype(np.int64)
-    on_image = (x0 <= x1) & (y0 <= y1)
+    bbox = _footprint_bbox(proj.mean2d, proj.cov, opacity, use_thresholds, camera.width,
+                           camera.height)
+    on_image = (bbox[:, 0] <= bbox[:, 1]) & (bbox[:, 2] <= bbox[:, 3])
     order = np.nonzero(on_image)[0][
         np.lexsort((slots[on_image], rows[on_image], proj.depth[on_image]))
     ]
@@ -121,7 +124,7 @@ def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots
         depth=proj.depth[order],
         opacity=opacity[order],
         color=colors[order],
-        bbox=np.stack([x0, x1, y0, y1], axis=1)[order],
+        bbox=bbox[order],
         rows=rows[order],
         slots=slots[order],
         # Indices into the pre-sort, pre-bbox-cull projection arrays.
@@ -130,243 +133,248 @@ def _project_and_cull(camera, means, quats, scales, opacity, colors, rows, slots
     return splats, proj
 
 
-def _splat_params(splats):
-    """(M, 6) rows (mx, my, A, B, C, opacity), gathered per bbox row by
-    _window_alphas."""
-    return np.column_stack((splats.mean2d, splats.conic, splats.opacity))
+def _terms(splats):
+    """Rows mx, my, -0.5 A, B, -0.5 C, opacity and colour, and the bbox bounds,
+    per splat; column M is the padding term: alpha 0 and an empty bbox."""
+    M = splats.mean2d.shape[0]
+    A, B, C = splats.conic.T
+    values = np.zeros((9, M + 1))
+    values[:, :M] = (*splats.mean2d.T, -0.5 * A, B, -0.5 * C, splats.opacity, *splats.color.T)
+    return values, np.vstack((splats.bbox, [0, -1, 0, -1])).T
 
 
-def _windows(bbox):
-    """Bounds (n0, n1) of consecutive splat runs whose bbox areas, with the
-    width padded to WIDTH_QUANTUM, sum to at most WINDOW_PX; a splat larger
-    than that gets a window of its own."""
-    h = bbox[:, 3] - bbox[:, 2] + 1
-    cum = np.cumsum(h * _padded_width(bbox)).tolist()
-    bounds = [0]
-    while bounds[-1] < len(cum):
-        n0 = bounds[-1]
-        n1 = bisect_right(cum, (cum[n0 - 1] if n0 else 0) + WINDOW_PX, lo=n0)
-        bounds.append(max(n1, n0 + 1))
-    return list(zip(bounds[:-1], bounds[1:]))
+def _to_tiles(image, fill):
+    """(H, W, ...) -> (tiles, TILE * TILE, ...), tiles in row-major order, the
+    pixels beyond the image edge set to fill."""
+    (H, W), rest = image.shape[:2], image.shape[2:]
+    ny, nx = -(-H // TILE), -(-W // TILE)
+    padded = np.full((ny * TILE, nx * TILE) + rest, fill, dtype=image.dtype)
+    padded[:H, :W] = image
+    return padded.reshape(ny, TILE, nx, TILE, *rest).swapaxes(1, 2).reshape(ny * nx, -1, *rest)
 
 
-def _padded_width(bbox):
-    return -(-(bbox[:, 1] - bbox[:, 0] + 1) // WIDTH_QUANTUM) * WIDTH_QUANTUM
+def _from_tiles(tiles, H, W):
+    ny, nx = -(-H // TILE), -(-W // TILE)
+    image = tiles.reshape(ny, nx, TILE, TILE, *tiles.shape[2:]).swapaxes(1, 2)
+    return np.ascontiguousarray(image.reshape(ny * TILE, nx * TILE, *tiles.shape[2:])[:H, :W])
 
 
-def _window_alphas(params, bbox, n0, n1, use_thresholds):
-    """ahat of splats n0..n1-1 over their bboxes, and where alpha is capped,
-    many splats per numpy call.
-
-    The splats are grouped by padded bbox width, in (padded width, n) order;
-    a group stacks the bbox rows of its splats into one (rows, padded width)
-    array, and row r of the stack belongs to splat n0 + local[r]. Every
-    element is computed with the same operations as over a single splat's
-    patch, so the values do not depend on the grouping. Skipped terms have
-    ahat = 0 exactly; the padding columns hold values of no term and are
-    never read through the per-splat patches.
-    """
-    box = bbox[n0:n1]
-    x0, y0 = box[:, 0], box[:, 2]
-    h = box[:, 3] - y0 + 1
-    wp = _padded_width(box)
-    order = np.argsort(wp, kind="stable")
-    hs = h[order]
-    starts = np.cumsum(hs) - hs
-    local = np.repeat(order, hs)
-    ry = np.arange(hs.sum()) + np.repeat(y0[order] - starts, hs)
-    rx0 = x0[local]
-    mx, my, A, B, C, opacity = params[n0 + local].T
-    # Per row: -0.5 A, -0.5 C dy^2 and B dy, rounded like the direct form
-    # -0.5 (A dx^2 + C dy^2) - B dy dx (scaling by -0.5 is exact).
-    dy = (ry + 0.5) - my
-    ax, cy, by = -0.5 * A, (-0.5 * C) * (dy * dy), B * dy
-
-    win = SimpleNamespace(k=n1 - n0, order=order, starts=starts, local=local, dy=dy,
-                          ry=ry, rx0=rx0, groups=[], members=[])
-    widths = (box[:, 1] - x0 + 1).tolist()
-    wps, starts_l, hs_l, order_l = (wp[order].tolist(), starts.tolist(), hs.tolist(),
-                                    order.tolist())
-    j0 = 0
-    while j0 < win.k:
-        j1 = j0 + 1
-        while j1 < win.k and wps[j1] == wps[j0]:
-            j1 += 1
-        r0 = starts_l[j0]
-        rows = slice(r0, starts_l[j1 - 1] + hs_l[j1 - 1])
-        cols = np.arange(wps[j0])
-        dx = rx0[rows, None] + (cols + 0.5)
-        dx -= mx[rows, None]
-        dx2 = dx * dx
-        alpha = ax[rows, None] * dx2
-        alpha += cy[rows, None]
-        alpha -= by[rows, None] * dx
-        np.exp(alpha, out=alpha)
-        alpha *= opacity[rows, None]
-        capped = alpha > ALPHA_CAP
-        if use_thresholds:
-            np.putmask(alpha, alpha < ALPHA_SKIP, 0.0)
-        ahat = np.minimum(alpha, ALPHA_CAP, out=alpha)
-        win.groups.append(SimpleNamespace(rows=rows, cols=cols, dx=dx, dx2=dx2,
-                                          capped=capped, ahat=ahat))
-        win.members.append([
-            (order_l[j], (slice(starts_l[j] - r0, starts_l[j] - r0 + hs_l[j]),
-                          slice(0, widths[order_l[j]])))
-            for j in range(j0, j1)])
-        j0 = j1
-    return win
+def _tile_pairs(bbox, nx):
+    """The (tile, splat) pairs of every tile a splat's bbox overlaps, grouped by
+    tile and in depth order within a tile."""
+    tx0, ty0 = bbox[:, 0] // TILE, bbox[:, 2] // TILE
+    w = bbox[:, 1] // TILE - tx0 + 1
+    n = w * (bbox[:, 3] // TILE - ty0 + 1)
+    splat = np.repeat(np.arange(bbox.shape[0]), n)
+    k = np.arange(splat.size) - np.repeat(np.cumsum(n) - n, n)
+    w = w[splat]
+    tile = (ty0[splat] + k // w) * nx + tx0[splat] + k % w
+    order = np.argsort(tile, kind="stable")
+    return tile[order], splat[order]
 
 
-def _patches(win, *names):
-    """For each splat of the window, in depth order, the (h, w) views of its
-    bbox rows in the stacked group arrays called names."""
-    out = [None] * win.k
-    for group, members in zip(win.groups, win.members):
-        arrays = [getattr(group, name) for name in names]
-        for i, patch in members:
-            out[i] = [arr[patch] for arr in arrays]
-    return out
+def _rounds(tile, n_tiles):
+    """The tile lists as blocks (tiles, first pair index, length), per round.
+    A list longer than BLOCK_CELLS / TILE^2 terms is cut into chunks of that
+    length, chunk r going to round r. A round's chunks, sorted by length, are
+    packed into blocks of at most BLOCK_CELLS cells, or of one tile."""
+    budget = max(1, BLOCK_CELLS // (TILE * TILE))
+    counts = np.bincount(tile, minlength=n_tiles)
+    starts = np.cumsum(counts) - counts
+    rounds = []
+    for r in range(-(-counts.max(initial=0) // budget)):
+        left = counts - r * budget
+        tiles = np.nonzero(left > 0)[0]
+        lens = np.minimum(left[tiles], budget)
+        order = np.argsort(lens, kind="stable")
+        tiles, lens = tiles[order], lens[order]
+        lens_l, blocks, j0 = lens.tolist(), [], 0
+        for j in range(1, tiles.size + 1):
+            if (j == tiles.size or (j + 1 - j0) * lens_l[j] > budget
+                    or (lens_l[j] - lens_l[j - 1]) * (j - j0) > PAD_SLACK):
+                blocks.append((tiles[j0:j], starts[tiles[j0:j]] + r * budget, lens[j0:j]))
+                j0 = j
+        rounds.append(blocks)
+    return rounds
 
 
-def _per_splat(win, row_values):
-    """Sum stacked-row values over each splat's rows, in the stacked order
-    (splat n0 + win.order[j] for entry j)."""
-    return np.add.reduceat(row_values, win.starts, axis=0)
+def _block_alphas(values, bbox, splat, block, nx, use_thresholds):
+    """ahat (L, b, TILE * TILE) of the terms of a block's b tiles at their
+    pixels, the chunks padded to the longest with the padding term, and where
+    alpha is not capped. Each element is computed with the same operations as
+    over one splat, so the values do not depend on the blocks. With thresholds
+    on, no pixel outside a splat's bbox reaches ALPHA_SKIP (see
+    _footprint_radius_sq); with them off, ahat is masked to the bbox."""
+    tiles, first, lens = block
+    k = np.arange(lens[-1])[:, None]
+    s = np.where(k < lens, splat.take(first + k, mode="clip"), values.shape[1] - 1)
+    # (TILE, TILE, L * b): the (term, tile) pairs innermost, for long loops.
+    mx, my, ax, B, cc, opacity = values[:6, s]
+    centres = np.arange(TILE)[:, None] + 0.5
+    cx, cy = tiles % nx * TILE + centres, tiles // nx * TILE + centres  # (TILE, b)
+    dx = (cx[:, None] - mx).reshape(TILE, -1)
+    dy = (cy[:, None] - my).reshape(TILE, -1)
+    dx2 = dx * dx
+    alpha = ax.ravel() * dx2 + (cc.ravel() * (dy * dy))[:, None]
+    alpha -= (B.ravel() * dy)[:, None] * dx
+    np.exp(alpha, out=alpha)
+    alpha *= opacity.ravel()
+    alpha = alpha.reshape(TILE * TILE, -1).T.reshape(s.shape + (-1,)).copy()
+    if not use_thresholds:
+        alpha *= _covers(bbox, s, cx.T, cy.T)
+    uncapped = alpha <= ALPHA_CAP
+    if use_thresholds:
+        alpha *= alpha >= ALPHA_SKIP
+    return SimpleNamespace(s=s, ahat=np.minimum(alpha, ALPHA_CAP, out=alpha), uncapped=uncapped,
+                           cx=cx.T, cy=cy.T, dx=dx.T.reshape(s.shape + (TILE,)),
+                           dx2=dx2.T.reshape(s.shape + (TILE,)), dy=dy.T.reshape(s.shape + (TILE,)))
+
+
+def _covers(bbox, s, cx, cy):
+    """(L, b, TILE * TILE): whether the bbox of term s[l, i] holds the pixel
+    of tile i centred at (cy[i], cx[i])."""
+    x0, x1, y0, y1 = bbox[:, s, None]
+    inside_x, inside_y = (cx > x0) & (cx < x1 + 1), (cy > y0) & (cy < y1 + 1)
+    return (inside_y[..., None] & inside_x[..., None, :]).reshape(s.shape + (-1,))
+
+
+def _open(block, keep):
+    """The block restricted to the tiles where keep holds; None if none does."""
+    return block if keep.all() else tuple(a[keep] for a in block) if keep.any() else None
+
+
+def _scan(ahat, t_start):
+    """(L + 1, b, P): t_start, then the transmittance behind each term,
+    multiplied in term order; row j is the transmittance in front of term j."""
+    scan = np.empty((len(ahat) + 1,) + ahat.shape[1:])
+    scan[0] = t_start
+    np.subtract(1.0, ahat, out=scan[1:])
+    return np.multiply.accumulate(scan, axis=0, out=scan)
 
 
 def _composite_forward(splats, camera, background, use_thresholds):
     H, W = camera.height, camera.width
     M = splats.mean2d.shape[0]
-    acc = np.zeros((3, H, W), dtype=np.float64)  # channel first: long inner loops
-    trans = np.ones((H, W), dtype=np.float64)
-    stop = np.full((H, W), M, dtype=np.int64)
-    params = _splat_params(splats)
-    boxes = splats.bbox.tolist()
-    colors = splats.color[:, :, None, None]
+    nx = -(-W // TILE)
+    values, bbox = _terms(splats)
+    tile, splat = _tile_pairs(splats.bbox, nx)
+    # Pixels beyond the image edge count as stopped, so that a tile whose
+    # pixels have all stopped is skipped.
+    stop = _to_tiles(np.full((H, W), M), -1)
+    trans = np.ones(stop.shape)
+    acc = np.zeros((3,) + stop.shape)
 
-    for n0, n1 in _windows(splats.bbox):
-        win = _window_alphas(params, splats.bbox, n0, n1, use_thresholds)
-        for group in win.groups:
-            group.one_minus = 1.0 - group.ahat
-        for n, (x0, x1, y0, y1), (ahat, one_minus) in zip(
-                range(n0, n1), boxes[n0:n1], _patches(win, "ahat", "one_minus")):
-            sl = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-            t_sub = trans[sl]
-            # Stopped pixels keep their transmittance, which stays below the
-            # threshold, so the test below finds every pixel stopped so far.
-            if use_thresholds and t_sub.min() < STOP_TRANSMITTANCE:
-                stopped = t_sub < STOP_TRANSMITTANCE
-                np.minimum(stop[sl], n, out=stop[sl], where=stopped)
-                if stopped.all():
-                    continue  # a no-op at every pixel
-                ahat[stopped] = 0.0
-                one_minus[stopped] = 1.0
-            acc_sub = acc[:, y0:y1 + 1, x0:x1 + 1]
-            acc_sub += colors[n] * (ahat * t_sub)
-            t_sub *= one_minus
-        del win  # frees this window's arrays before the next is built
+    def composite(block):
+        tiles = block[0]
+        blk = _block_alphas(values, bbox, splat, block, nx, use_thresholds)
+        s = blk.s
+        scan = _scan(blk.ahat, trans[tiles])
+        t_front = scan[:-1]
+        weight = np.multiply(blk.ahat, t_front, out=blk.ahat)
+        trans[tiles] = scan[-1]
+        if use_thresholds and (t_front[-1] < STOP_TRANSMITTANCE).any():
+            # A term is stopped once the transmittance in front of it is below
+            # the threshold, and from there on it stays below. The
+            # transmittance keeps its value in front of the first stopped term;
+            # the stop index is the first stopped term whose bbox holds the pixel.
+            live = t_front >= STOP_TRANSMITTANCE  # a prefix of the terms
+            weight *= live
+            trans[tiles] = np.take_along_axis(scan, live.sum(axis=0)[None], 0)[0]
+            hit = _covers(bbox, s, blk.cx, blk.cy) > live
+            met = s[hit.argmax(axis=0), np.arange(len(tiles))[:, None]]
+            stop[tiles] = np.minimum(stop[tiles], np.where(hit.any(axis=0), met, M))
+        # The colour sums run along the term axis, row by row, so each
+        # pixel's sum is sequential in term order.
+        terms = np.empty((3,) + scan.shape)
+        terms[:, 0] = acc[:, tiles]
+        np.multiply(weight, values[6:, s, None], out=terms[:, 1:])
+        acc[:, tiles] = np.add.reduce(terms, axis=1)
 
+    for blocks in _rounds(tile, stop.shape[0]):
+        for block in blocks:
+            block = _open(block, (stop[block[0]] == M).any(axis=1))
+            if block is not None:  # else a no-op at every pixel
+                composite(block)
+
+    trans = _from_tiles(trans, H, W)
     image = trans[:, :, None] * background
-    image += acc.transpose(1, 2, 0)
-    return image, trans, stop
+    image += _from_tiles(np.moveaxis(acc, 0, 2), H, W)
+    return image, trans, _from_tiles(stop, H, W)
 
 
 def _composite_backward(splats, camera, background, use_thresholds, final_trans, stop,
                         grad_image):
-    W = camera.width
     M = splats.mean2d.shape[0]
-    params = _splat_params(splats)
-    boxes = splats.bbox.tolist()
-    first_stop = int(stop.min())  # terms before it are stopped at no pixel
-    # Padded by WIDTH_QUANTUM - 1 columns, so that the padding columns of a
-    # stacked row index inside the image: they are stopped and get no image
-    # gradient.
-    pad = ((0, 0), (0, WIDTH_QUANTUM - 1))
-    padded_width = W + WIDTH_QUANTUM - 1
-    stop_pad = np.pad(stop, pad, constant_values=-1).ravel()
-    grad_pad = np.pad(np.moveaxis(grad_image, 2, 0), ((0, 0),) + pad).reshape(3, -1)
+    nx = -(-camera.width // TILE)
+    values, bbox = _terms(splats)
+    tile, splat = _tile_pairs(splats.bbox, nx)
+    g_tiles = _to_tiles(grad_image, 0.0)
+    # Pixels beyond the image edge count as stopped before the first term.
+    stop_tiles = _to_tiles(stop, -1)
+    last_stop = stop_tiles.max(axis=1)
+    # Carried from the back, chunk by chunk: the transmittance behind the
+    # current chunk, and g . suffix, where suffix(u) is the colour composited
+    # behind it (the later chunks plus the background).
+    t_behind = _to_tiles(final_trans, 1.0)
+    g_suffix = _to_tiles(final_trans * (grad_image @ np.asarray(background, float)), 0.0)
+    # Per term: g_color, then the moments m[a][b] = sum gP dy^a dx^b of
+    # dL/dpower; the exponent is quadratic in (dx, dy), so these carry every
+    # opacity, mean and conic gradient. Row M gathers the padding terms.
+    sums = np.zeros((M + 1, 12))
 
-    t_run = final_trans.copy()
-    # g . suffix, where suffix(u) is the colour composited behind the current
-    # term: the later terms plus the background.
-    g_suffix = final_trans * (grad_image @ np.asarray(background, dtype=np.float64))
-    g_mean2d = np.zeros((M, 2), dtype=np.float64)
-    g_cov = np.zeros((M, 3), dtype=np.float64)
-    g_opacity = np.zeros(M, dtype=np.float64)
-    g_color = np.zeros((M, 3), dtype=np.float64)
-
-    for n0, n1 in reversed(_windows(splats.bbox)):
-        win = _window_alphas(params, splats.bbox, n0, n1, use_thresholds)
-        live_rows = np.empty(win.dy.size, dtype=np.int64)
-        for group in win.groups:
-            rows = group.rows
-            pix = win.ry[rows, None] * padded_width + (win.rx0[rows, None] + group.cols)
-            if n1 > first_stop:
-                live = stop_pad.take(pix) > (n0 + win.local[rows])[:, None]
-                group.ahat *= live
-                live_rows[rows] = live.sum(axis=1)
-            else:
-                live_rows[rows] = 1
-            group.one_minus = 1.0 - group.ahat
-            group.g_image = grad_pad.take(pix, axis=1)  # channel first
-            # g . colour of the term at each pixel, and ahat times it.
-            group.g_dot_c = np.einsum("crj,rc->rj", group.g_image,
-                                      splats.color[n0 + win.local[rows]])
-            group.ahat_g_dot_c = group.ahat * group.g_dot_c
-            # Filled by the loop: the transmittance in front of the term
-            # and g . suffix / (1 - ahat); zero for terms never visited.
-            group.t_front = np.zeros_like(group.ahat)
-            group.s_over = np.zeros_like(group.ahat)
-        dead = np.zeros(win.k, dtype=bool)
-        dead[win.order] = _per_splat(win, live_rows) == 0
-        terms = zip(boxes[n0:n1], dead.tolist(),
-                    _patches(win, "one_minus", "ahat_g_dot_c", "t_front", "s_over"))
-
-        for (x0, x1, y0, y1), is_dead, (one_minus, ahat_g_dot_c, t_front, s_over) in (
-                reversed(list(terms))):
-            if is_dead:
-                continue  # stopped at every pixel: no term, no gradient
-            sl = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-            t_sub = t_run[sl]
-            t_sub /= one_minus  # now the transmittance in front of the term
-            t_front[...] = t_sub
-            s_sub = g_suffix[sl]
-            np.divide(s_sub, one_minus, out=s_over)
-            s_sub += ahat_g_dot_c * t_sub
-
-        # Per stacked row: g_color's terms, and the sums over dx^b of
+    def accumulate(block, first_chunk):
+        tiles = block[0]
+        blk = _block_alphas(values, bbox, splat, block, nx, use_thresholds)
+        s, ahat = blk.s, blk.ahat
+        L, b, P = ahat.shape
+        stop_rows = stop_tiles[tiles]
+        if stop_rows.min() < M:  # a term at or after a pixel's stop index is stopped there
+            ahat *= s[:, :, None] < stop_rows
+        t_front = _scan(ahat, 1.0)
+        if not first_chunk:  # the transmittance in front of the chunk, divided back
+            t_start = t_behind[tiles] / t_front[-1]
+            t_behind[tiles] = t_start
+            t_front *= t_start
+        t_front = t_front[:-1]
+        weight = ahat * t_front
+        g = g_tiles[tiles]
+        g_dot_c = (values[6:, s].transpose(1, 2, 0)[:, :, None] @ g.swapaxes(1, 2))[:, :, 0]
+        # rev[k] is g . suffix behind the chunk's last k terms.
+        rev = np.empty((L + 1, b, P))
+        rev[0] = g_suffix[tiles]
+        np.multiply(weight[::-1], g_dot_c[::-1], out=rev[1:])
+        np.cumsum(rev, axis=0, out=rev)
+        g_suffix[tiles] = rev[L]
         # dL/dpower = dL/dalpha * alpha, zero for capped terms (the cap is
         # flat) and for skipped, stopped and padding ones (ahat = 0).
-        color_rows = np.empty((win.dy.size, 3))
-        dx_sums = np.empty((win.dy.size, 3))
-        for group in win.groups:
-            rows = group.rows
-            weight = group.ahat * group.t_front
-            color_rows[rows] = np.einsum("rj,crj->rc", weight, group.g_image)
-            g_power = group.g_dot_c * group.t_front
-            g_power -= group.s_over
-            g_power *= np.where(group.capped, 0.0, group.ahat)
-            dx_sums[rows, 0] = g_power.sum(axis=1)
-            dx_sums[rows, 1] = np.einsum("rj,rj->r", g_power, group.dx)
-            dx_sums[rows, 2] = np.einsum("rj,rj->r", g_power, group.dx2)
-        idx = n0 + win.order
-        g_color[idx] = _per_splat(win, color_rows)
-        # Moments m[a][b] = sum gP dy^a dx^b. The exponent is quadratic in
-        # (dx, dy), so these carry every opacity, mean and conic gradient.
-        dy = win.dy
-        dy_pows = np.stack((np.ones_like(dy), dy, dy * dy), axis=1)
-        m = _per_splat(win, dy_pows[:, :, None] * dx_sums[:, None, :])
-        _, _, A, B, C, opacity = params[idx].T
-        g_opacity[idx] = m[:, 0, 0] / opacity  # dalpha/dopacity = G = alpha / opacity
-        g_mean2d[idx] = np.stack((A * m[:, 0, 1] + B * m[:, 1, 0],
-                                  B * m[:, 0, 1] + C * m[:, 1, 0]), axis=1)
-        gA, gB, gC = -0.5 * m[:, 0, 2], -m[:, 1, 1], -0.5 * m[:, 2, 0]
-        # Conic is the inverse of the (dilated) covariance: dN = -N dM N.
-        g_cov[idx] = np.stack((-(gA * A * A + gB * A * B + gC * B * B),
-                               -(2 * gA * A * B + gB * (A * C + B * B) + 2 * gC * B * C),
-                               -(gA * B * B + gB * B * C + gC * C * C)), axis=1)
-        del win  # frees this window's arrays before the next is built
+        g_power = g_dot_c * t_front
+        g_power -= rev[L - 1::-1] / (1.0 - ahat)
+        g_power *= ahat
+        g_power *= blk.uncapped
+        ones = np.ones_like(blk.dx)
+        dx_pows = np.stack((ones, blk.dx, blk.dx2), axis=-1)
+        dy_pows = np.stack((ones, blk.dy, blk.dy * blk.dy), axis=-2)
+        moments = dy_pows @ (g_power.reshape(L, b, TILE, TILE) @ dx_pows)
+        g_color = (weight[:, :, None] @ g)[:, :, 0]
+        np.add.at(sums, s, np.concatenate((g_color, moments.reshape(L, b, 9)), axis=2))
 
+    rounds = _rounds(tile, len(g_tiles))
+    for r in reversed(range(len(rounds))):
+        for block in reversed(rounds[r]):
+            # A tile whose terms are all at or after its last stop adds nothing.
+            block = _open(block, splat[block[1]] < last_stop[block[0]])
+            if block is not None:
+                accumulate(block, r == 0)
+
+    g_color, m = sums[:M, :3], sums[:M, 3:].reshape(M, 3, 3)
+    A, B, C = splats.conic.T
+    g_opacity = m[:, 0, 0] / splats.opacity  # dalpha/dopacity = G = alpha / opacity
+    g_mean2d = np.stack((A * m[:, 0, 1] + B * m[:, 1, 0], B * m[:, 0, 1] + C * m[:, 1, 0]), axis=1)
+    gA, gB, gC = -0.5 * m[:, 0, 2], -m[:, 1, 1], -0.5 * m[:, 2, 0]
+    # Conic is the inverse of the (dilated) covariance: dN = -N dM N.
+    g_cov = np.stack((-(gA * A * A + gB * A * B + gC * B * B),
+                      -(2 * gA * A * B + gB * (A * C + B * B) + 2 * gC * B * C),
+                      -(gA * B * B + gB * B * C + gC * C * C)), axis=1)
     return g_mean2d, g_cov, g_opacity, g_color
 
 
@@ -379,8 +387,7 @@ def render_gaussians(gaussians, camera, background=(0.0, 0.0, 0.0), use_threshol
     m = len(gaussians)
     background = np.asarray(background, dtype=np.float64)
     if m == 0:
-        H, W = camera.height, camera.width
-        return np.broadcast_to(background, (H, W, 3)).copy()
+        return np.broadcast_to(background, (camera.height, camera.width, 3)).copy()
     splats, _ = _project_and_cull(
         camera,
         np.stack([g.mean for g in gaussians]),
@@ -458,31 +465,20 @@ def render_backward(graph, grad_image):
         graph.final_trans, graph.stop, grad_image)
 
     V, K = graph.batch.active.shape
-    g_means_g = np.zeros((V, K, 3))
-    g_quats_g = np.zeros((V, K, 4))
-    g_scales_g = np.zeros((V, K, 3))
-    g_opac_g = np.zeros((V, K))
-    g_color_g = np.zeros((V, K, 3))
 
     # Chain through the projection only for splats that were rasterized:
     # every field of graph.proj has one row per projected Gaussian.
     sub = SimpleNamespace(**{key: value[splats.proj_index]
                              for key, value in vars(graph.proj).items()})
-    g_means_w, g_quats_w, g_scales_w = geom.project_splats_backward(
-        graph.camera, sub, g_mean2d, g_cov)
-    r, s = splats.rows, splats.slots
-    g_means_g[r, s] = g_means_w
-    g_quats_g[r, s] = g_quats_w
-    g_scales_g[r, s] = g_scales_w
-    g_opac_g[r, s] = g_opacity_s
-    g_color_g[r, s] = g_color_s
+    per_splat = geom.project_splats_backward(graph.camera, sub, g_mean2d, g_cov)
+    # means, quats, scales, opacity and colour per (visible anchor, slot)
+    per_slot = []
+    for grad in (*per_splat, g_opacity_s, g_color_s):
+        per_slot.append(np.zeros((V, K) + grad.shape[1:]))
+        per_slot[-1][splats.rows, splats.slots] = grad
+    dg = decode_backward(graph.batch, graph.weights_ref, *per_slot)
 
-    dg = decode_backward(graph.batch, graph.weights_ref, g_means_g, g_quats_g,
-                         g_scales_g, g_opac_g, g_color_g)
-
-    n = graph.n_anchors
-    vis = graph.visible
-    d_b, d_v = graph.d_b, graph.d_v
+    n, vis, d_b, d_v = graph.n_anchors, graph.visible, graph.d_b, graph.d_v
     out = SimpleNamespace(
         f_base=np.zeros((n, d_b)),
         f_var=np.zeros((n, graph.encoding.size, d_v)),

@@ -351,6 +351,8 @@ def train(config, dataset, out_path=None, log_path=None, log_stream=None):
     """
     state = init_state(config, dataset)
     log_file = open(log_path, "w") if log_path else None
+    # A dataset without test views has nothing to evaluate.
+    evaluates = bool(dataset.test_cameras())
 
     def log(record):
         line = json.dumps(record, sort_keys=True)
@@ -372,11 +374,11 @@ def train(config, dataset, out_path=None, log_path=None, log_stream=None):
                 if densified:
                     record["grown"], record["pruned"] = densified
                 log(record)
-            if config.eval_interval and it and it % config.eval_interval == 0:
+            if evaluates and config.eval_interval and it and it % config.eval_interval == 0:
                 log({"iter": it, "eval": evaluate(state, dataset)})
             if out_path and config.checkpoint_interval and it and it % config.checkpoint_interval == 0:
                 save_checkpoint(state, out_path)
-        if log_file or log_stream:
+        if evaluates and (log_file or log_stream):
             log({"iter": config.total_iters, "eval": evaluate(state, dataset)})
         if out_path:
             save_checkpoint(state, out_path)

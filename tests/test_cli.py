@@ -332,6 +332,27 @@ def test_eval_without_test_views_exit_3(workspace, tmp_path, capsys):
     assert not report.exists()
 
 
+def test_train_without_test_views_logs_no_eval(workspace, tmp_path):
+    """Training on a dataset whose split marks every view train logs no eval
+    record, neither mid-run nor at the end, instead of one at 0 dB."""
+    _, _, data_dir, _, _ = workspace
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    split = data / "split.txt"
+    split.write_text(split.read_text().replace(" test\n", " train\n"))
+    config = tmp_path / "train.cfg"
+    config.write_text("total_iters=5\nstats_start=1\ndensify_start=2\ndensify_end=4\n"
+                      "densify_interval=2\nvoxel_fraction=0.06\nseed=3\nlog_interval=1\n"
+                      "eval_interval=2\n")
+    ckpt = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
+                     "--config", str(config)]) == 0
+    log = ckpt.with_name(ckpt.name + ".log.jsonl")
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["iter"] for r in records if "total" in r] == [0, 1, 2, 3, 4]
+    assert not any("eval" in r for r in records)
+
+
 def test_inspect_output(workspace, capsys):
     _, _, _, ckpt, _ = workspace
     assert cli.main(["inspect", "--ckpt", str(ckpt)]) == 0

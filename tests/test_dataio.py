@@ -251,6 +251,21 @@ def test_generate_load_round_trip(tmp_path):
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
+def test_loaded_images_keep_their_8_bit_pixels(tmp_path):
+    """load_dataset holds each image as the uint8 pixels it read; an image is
+    converted on access bit for bit as read_ppm converts it, also through
+    .items()."""
+    ds = dataio.generate_synthetic(single_blob_spec(T=2), tmp_path / "ds")
+    back = dataio.load_dataset(tmp_path / "ds")
+    assert {p.dtype for p in back.images.pixels.values()} == {np.dtype(np.uint8)}
+    assert sorted(back.images) == sorted(ds.images) and len(back.images) == len(ds.images)
+    for cam in back.cameras:
+        expected = dataio.read_ppm(tmp_path / "ds" / "images" / cam.image_name)
+        assert back.images[cam.id].tobytes() == expected.tobytes()
+    for cid, img in back.images.items():
+        assert img.dtype == np.float64 and img.tobytes() == back.images[cid].tobytes()
+
+
 def test_short_period_point_line_names_path_and_line(tmp_path):
     dataio.generate_synthetic(single_blob_spec(T=2), tmp_path / "ds")
     path = os.path.join(tmp_path / "ds", "points3D_1.txt")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodsplat import geom, raster
 from periodsplat.decoder import MlpWeights, DecoderWeights
@@ -72,6 +73,44 @@ def test_cull_drops_inactive_keeps_active():
     splats = cull_cluster(make_cluster([-0.3, 0.7], [[0, 0, 0], [0.1, 0, 0]]), cam)
     assert splats.opacity.tolist() == [0.7]
     assert (splats.rows[0], splats.slots[0]) == (0, 1)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(sigma=st.tuples(st.floats(0.3, 12.0), st.floats(0.3, 12.0)),
+       rho=st.floats(-0.97, 0.97),
+       opacity=st.one_of(st.floats(raster.ALPHA_SKIP, 1.0, exclude_min=True),
+                         st.floats(raster.ALPHA_SKIP, raster.ALPHA_SKIP * (1 + 1e-9),
+                                   exclude_min=True),
+                         st.floats(raster.ALPHA_CAP, 1.0)),
+       axis=st.integers(0, 1), side=st.sampled_from([-1.0, 1.0]),
+       offset=st.one_of(st.floats(-1e-3, 1e-3), st.floats(-1e-12, 1e-12)))
+def test_thresholded_bbox_drops_no_term(sigma, rho, opacity, axis, side, offset):
+    """With thresholds on, every pixel centre outside a splat's bbox has a
+    computed alpha below ALPHA_SKIP, so the tile passes need no bbox mask.
+    Random 2D covariances and opacities, including opacities just above
+    ALPHA_SKIP and above ALPHA_CAP; the mean is placed so that the centre of
+    pixel (32, 32) lies at the footprint's extreme point along one axis,
+    moved outward by a relative offset, where the bbox edge is closest."""
+    H = W = 64
+    sx, sy = sigma
+    a, b, c = sx * sx, rho * sx * sy, sy * sy
+    r2 = 2.0 * np.log(opacity / raster.ALPHA_SKIP)  # alpha = ALPHA_SKIP on this ellipse
+    if axis == 0:
+        extreme = np.sqrt(r2 / a) * np.array([a, b])
+    else:
+        extreme = np.sqrt(r2 / c) * np.array([b, c])
+    mean2d = np.array([[32.5, 32.5]]) - side * (1.0 + offset) * extreme
+    cov = np.array([[a, b, c]])
+    x0, x1, y0, y1 = raster._footprint_bbox(mean2d, cov, np.array([opacity]), True, W, H)[0]
+    det = a * c - b * b
+    A, B, C = c / det, -b / det, a / det
+    # the compositing arithmetic: power = -0.5 (A dx^2 + C dy^2) - B dy dx
+    dx = (np.arange(W) + 0.5)[None, :] - mean2d[0, 0]
+    dy = (np.arange(H) + 0.5)[:, None] - mean2d[0, 1]
+    alpha = opacity * np.exp(-0.5 * (A * dx * dx + C * dy * dy) - (B * dy) * dx)
+    inside = np.zeros((H, W), dtype=bool)
+    inside[y0:y1 + 1, x0:x1 + 1] = True
+    assert alpha[~inside].max(initial=0.0) < raster.ALPHA_SKIP
 
 
 def test_cull_matches_brute_force_count(rng):
@@ -247,14 +286,8 @@ def explicit_splats(mean2d, cov, opacity, color, H, W):
     """2D splats given directly, each with its thresholded footprint bbox."""
     a, b, c = cov[:, 0], cov[:, 1], cov[:, 2]
     det = a * c - b * b
-    r2 = raster._footprint_radius_sq(opacity, True)
-    rx, ry = np.sqrt(r2 * a), np.sqrt(r2 * c)
-    bbox = np.stack([np.maximum(np.ceil(mean2d[:, 0] - rx - 0.5), 0),
-                     np.minimum(np.floor(mean2d[:, 0] + rx - 0.5), W - 1),
-                     np.maximum(np.ceil(mean2d[:, 1] - ry - 0.5), 0),
-                     np.minimum(np.floor(mean2d[:, 1] + ry - 0.5), H - 1)], axis=1)
     return SimpleNamespace(mean2d=mean2d, cov=cov, opacity=opacity, color=color,
-                           bbox=bbox.astype(np.int64),
+                           bbox=raster._footprint_bbox(mean2d, cov, opacity, True, W, H),
                            conic=np.stack([c / det, -b / det, a / det], axis=1))
 
 
@@ -276,9 +309,11 @@ def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
     bitwise, the backward to 1e-12 relative per array, and with thresholds
     final_trans and stop against a per-pixel walk. The scenes are random,
     some opaque enough to stop, one with splats wholly behind stopped
-    pixels, and one with no splat; each runs with the default window budget
-    and with one so small that it spans several windows and width groups."""
+    pixels, and one with no splat; each runs with the default block budget
+    and with budgets so small that tiles share blocks and lists are cut into
+    several chunks. The image width is not a multiple of the tile size."""
     H, W = 16, 20
+    n_tiles = -(-H // raster.TILE) * -(-W // raster.TILE)
     cam = identity_camera(width=W, height=H, fx=18.0, fy=18.0, z_offset=2.0)
     no_splat = explicit_splats(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0),
                                np.zeros((0, 3)), H, W)
@@ -290,7 +325,7 @@ def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
                 g.opacity = rng.uniform(0.9, 1.0)
         scenes.append(project_gaussians(gaussians, cam, use_thresholds))
 
-    stopped = buried = several_windows = several_groups = 0
+    stopped = buried = split_lists = batched_tiles = 0
     for splats in scenes:
         M = splats.mean2d.shape[0]
         bg = rng.uniform(0, 1, size=3)
@@ -307,8 +342,8 @@ def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
         buried += sum(bool((stop[y0:y1 + 1, x0:x1 + 1] <= n).all())
                       for n, (x0, x1, y0, y1) in enumerate(splats.bbox.tolist()))
 
-        for window_px in (raster.WINDOW_PX, 256, 48):
-            monkeypatch.setattr(raster, "WINDOW_PX", window_px)
+        for block_cells in (raster.BLOCK_CELLS, 256, 48):
+            monkeypatch.setattr(raster, "BLOCK_CELLS", block_cells)
             got = raster._composite_forward(splats, cam, bg, use_thresholds)
             for a, b in zip(got, ref):
                 assert a.tobytes() == b.tobytes()
@@ -317,32 +352,42 @@ def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
             for a, b in zip(got, ref_grads):
                 assert a.shape == b.shape
                 assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
-            windows = raster._windows(splats.bbox) if M else []
-            several_windows += len(windows) > 1
-            several_groups += any(
-                len(raster._window_alphas(raster._splat_params(splats), splats.bbox, n0, n1,
-                                          use_thresholds).groups) > 1
-                for n0, n1 in windows)
+            tile, _ = raster._tile_pairs(splats.bbox, -(-W // raster.TILE))
+            rounds = raster._rounds(tile, n_tiles)
+            split_lists += len(rounds) > 1
+            batched_tiles += any(len(tiles) > 1 for blocks in rounds for tiles, _, _ in blocks)
         monkeypatch.undo()
     assert (stopped > 0) == use_thresholds
     assert (buried > 0) == use_thresholds
-    assert several_windows > 0 and several_groups > 0
+    assert split_lists > 0 and batched_tiles > 0
 
 
-def test_windows_partition_the_splats(rng, monkeypatch):
-    """Windows are consecutive, cover every splat once, and stay within the
-    pixel budget unless they hold a single splat."""
-    monkeypatch.setattr(raster, "WINDOW_PX", 64)
-    x0, y0 = rng.integers(0, 20, size=(2, 200))
-    bbox = np.stack([x0, x0 + rng.integers(0, 12, 200),
-                     y0, y0 + rng.integers(0, 12, 200)], axis=1)
-    windows = raster._windows(bbox)
-    assert [n0 for n0, _ in windows] == [0] + [n1 for _, n1 in windows[:-1]]
-    assert windows[-1][1] == 200
-    area = (bbox[:, 3] - bbox[:, 2] + 1) * raster._padded_width(bbox)
-    for n0, n1 in windows:
-        assert n1 - n0 == 1 or area[n0:n1].sum() <= 64
-        assert n1 == 200 or area[n0:n1 + 1].sum() > 64  # as long as the budget allows
+def test_tile_blocks_partition_the_overlaps(rng, monkeypatch):
+    """Every (splat, tile) bbox overlap appears in exactly one block, in
+    depth order within its tile, a list's chunks follow each other round
+    after round, and a block stays within the cell budget unless it holds
+    one term."""
+    nx, ny, T = 5, 4, raster.TILE
+    x0, y0 = rng.integers(0, nx * T, size=200), rng.integers(0, ny * T, size=200)
+    bbox = np.stack([x0, np.minimum(x0 + rng.integers(0, 12, 200), nx * T - 1),
+                     y0, np.minimum(y0 + rng.integers(0, 12, 200), ny * T - 1)], axis=1)
+    tile, splat = raster._tile_pairs(bbox, nx)
+    overlaps = sorted((ty * nx + tx, n) for n, (a, b, c, d) in enumerate(bbox.tolist())
+                      for ty in range(c // T, d // T + 1) for tx in range(a // T, b // T + 1))
+    assert sorted(zip(tile.tolist(), splat.tolist())) == overlaps
+    for block_cells in (256, 48):
+        monkeypatch.setattr(raster, "BLOCK_CELLS", block_cells)
+        covered, next_pair = [], {}
+        for blocks in raster._rounds(tile, nx * ny):
+            for tiles, first, lens in blocks:
+                assert len(tiles) * lens.max() * T * T <= block_cells or lens.max() == 1
+                for t, f, n in zip(tiles.tolist(), first.tolist(), lens.tolist()):
+                    assert (tile[f:f + n] == t).all() and (np.diff(splat[f:f + n]) > 0).all()
+                    # the list's previous chunk ended here, or this is its first
+                    assert next_pair.get(t, np.searchsorted(tile, t)) == f
+                    next_pair[t] = f + n
+                    covered += range(f, f + n)
+        assert sorted(covered) == list(range(tile.size))
 
 
 def test_transmittance_early_out_forward_and_gradients(rng):
