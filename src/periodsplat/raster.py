@@ -24,20 +24,24 @@ no per-pixel buffer outgrows a block and the image. With thresholds on, a
 bbox is opacity-exact (no pixel outside it reaches ALPHA_SKIP), so a block
 needs no bbox mask. The transmittance is a multiply.accumulate and the
 colour an add.reduce along the term axis, both in term order at every
-pixel, so image, final_trans and stop are bitwise those of a term-by-term
-loop. A tile whose pixels have all stopped is skipped. The RenderGraph
-keeps only the final transmittance and the per-pixel stop index.
+pixel, so image and final_trans are bitwise those of a term-by-term loop.
+A term is stopped where the transmittance in front of it is below
+STOP_TRANSMITTANCE, and so is every later one, so a block's colour sum
+ends at its last live term and a tile whose pixels have all stopped is
+skipped. The RenderGraph keeps the final transmittance and the tile plan
+with its carries, the transmittance of each tile at the start of each round.
 
-render_backward recomputes each block's alphas and scan, zeroes the terms
-at and after each pixel's stop index, and takes g . suffix (the image
-gradient dotted with the colour composited behind a term) as a reverse
-cumulative sum, chunk by chunk from the back; a later chunk's transmittance
-in front is the one behind it divided by the chunk's product. The colour
-gradients and the moments of dL/dpower, which carry the opacity, mean and
-conic gradients, follow per (tile, term) pair and are summed into the
-splats. The gradients then chain through the projection, the decoder, and
-the feature fusion down to every learnable tensor. Capped, skipped and
-stopped terms receive exactly zero gradient, as do inactive slots.
+render_backward recomputes each block's alphas and rescans them from the
+carry of its round, so that the transmittance in front of each term is
+bitwise the forward's; it zeroes the stopped terms, skips the tiles the
+forward skipped, and takes g . suffix (the image gradient dotted with the
+colour composited behind a term) as a reverse cumulative sum, chunk by
+chunk from the back. The colour gradients and the moments of dL/dpower,
+which carry the opacity, mean and conic gradients, follow per (tile, term)
+pair and are summed into the splats. The gradients then chain through the
+projection, the decoder, and the feature fusion down to every learnable
+tensor. Capped, skipped and stopped terms receive exactly zero gradient, as
+do inactive slots.
 """
 
 from __future__ import annotations
@@ -169,7 +173,8 @@ def _tile_pairs(bbox, nx):
     k = np.arange(splat.size) - np.repeat(np.cumsum(n) - n, n)
     w = w[splat]
     tile = (ty0[splat] + k // w) * nx + tx0[splat] + k % w
-    order = np.argsort(tile, kind="stable")
+    # A stable sort of integers of 16 bits or fewer is a radix sort.
+    order = np.argsort(tile.astype(np.min_scalar_type(tile.max(initial=0))), kind="stable")
     return tile[order], splat[order]
 
 
@@ -199,12 +204,12 @@ def _rounds(tile, n_tiles):
 
 
 def _block_alphas(values, bbox, splat, block, nx, use_thresholds):
-    """ahat (L, b, TILE * TILE) of the terms of a block's b tiles at their
-    pixels, the chunks padded to the longest with the padding term, and where
-    alpha is not capped. Each element is computed with the same operations as
-    over one splat, so the values do not depend on the blocks. With thresholds
-    on, no pixel outside a splat's bbox reaches ALPHA_SKIP (see
-    _footprint_radius_sq); with them off, ahat is masked to the bbox."""
+    """alpha (L, b, TILE * TILE), not yet capped, of the terms of a block's b
+    tiles at their pixels, the chunks padded to the longest with the padding
+    term. Each element is computed with the same operations as over one
+    splat, so the values do not depend on the blocks. With thresholds on, no
+    pixel outside a splat's bbox reaches ALPHA_SKIP (see _footprint_radius_sq)
+    and smaller alphas are zeroed; with them off, alpha is masked to the bbox."""
     tiles, first, lens = block
     k = np.arange(lens[-1])[:, None]
     s = np.where(k < lens, splat.take(first + k, mode="clip"), values.shape[1] - 1)
@@ -220,13 +225,8 @@ def _block_alphas(values, bbox, splat, block, nx, use_thresholds):
     np.exp(alpha, out=alpha)
     alpha *= opacity.ravel()
     alpha = alpha.reshape(TILE * TILE, -1).T.reshape(s.shape + (-1,)).copy()
-    if not use_thresholds:
-        alpha *= _covers(bbox, s, cx.T, cy.T)
-    uncapped = alpha <= ALPHA_CAP
-    if use_thresholds:
-        alpha *= alpha >= ALPHA_SKIP
-    return SimpleNamespace(s=s, ahat=np.minimum(alpha, ALPHA_CAP, out=alpha), uncapped=uncapped,
-                           cx=cx.T, cy=cy.T, dx=dx.T.reshape(s.shape + (TILE,)),
+    alpha *= (alpha >= ALPHA_SKIP) if use_thresholds else _covers(bbox, s, cx.T, cy.T)
+    return SimpleNamespace(s=s, alpha=alpha, dx=dx.T.reshape(s.shape + (TILE,)),
                            dx2=dx2.T.reshape(s.shape + (TILE,)), dy=dy.T.reshape(s.shape + (TILE,)))
 
 
@@ -252,90 +252,88 @@ def _scan(ahat, t_start):
     return np.multiply.accumulate(scan, axis=0, out=scan)
 
 
+def _open_tiles(trans, use_thresholds):
+    """Per tile, whether a pixel of it has not stopped (all tiles with thresholds off)."""
+    return (trans >= STOP_TRANSMITTANCE).any(axis=1) | (not use_thresholds)
+
+
 def _composite_forward(splats, camera, background, use_thresholds):
+    """Returns the image, the final transmittance and the tile plan: the
+    depth-sorted splat of each (tile, splat) pair, the rounds of blocks over
+    them, and the carries, the tiles' transmittance at the start of each round."""
     H, W = camera.height, camera.width
-    M = splats.mean2d.shape[0]
     nx = -(-W // TILE)
     values, bbox = _terms(splats)
     tile, splat = _tile_pairs(splats.bbox, nx)
-    # Pixels beyond the image edge count as stopped, so that a tile whose
-    # pixels have all stopped is skipped.
-    stop = _to_tiles(np.full((H, W), M), -1)
-    trans = np.ones(stop.shape)
-    acc = np.zeros((3,) + stop.shape)
+    # Pixels beyond the image edge start stopped, so that a tile whose pixels
+    # have all stopped is skipped.
+    trans = _to_tiles(np.ones((H, W)), 0.0)
+    acc = np.zeros((3,) + trans.shape)
+    plan = SimpleNamespace(splat=splat, rounds=_rounds(tile, len(trans)), carries=[])
 
     def composite(block):
         tiles = block[0]
         blk = _block_alphas(values, bbox, splat, block, nx, use_thresholds)
-        s = blk.s
-        scan = _scan(blk.ahat, trans[tiles])
+        ahat, s = np.minimum(blk.alpha, ALPHA_CAP, out=blk.alpha), blk.s
+        scan = _scan(ahat, trans[tiles])
         t_front = scan[:-1]
-        weight = np.multiply(blk.ahat, t_front, out=blk.ahat)
-        trans[tiles] = scan[-1]
+        weight = np.multiply(ahat, t_front, out=ahat)
         if use_thresholds and (t_front[-1] < STOP_TRANSMITTANCE).any():
-            # A term is stopped once the transmittance in front of it is below
-            # the threshold, and from there on it stays below. The
-            # transmittance keeps its value in front of the first stopped term;
-            # the stop index is the first stopped term whose bbox holds the pixel.
-            live = t_front >= STOP_TRANSMITTANCE  # a prefix of the terms
-            weight *= live
-            trans[tiles] = np.take_along_axis(scan, live.sum(axis=0)[None], 0)[0]
-            hit = _covers(bbox, s, blk.cx, blk.cy) > live
-            met = s[hit.argmax(axis=0), np.arange(len(tiles))[:, None]]
-            stop[tiles] = np.minimum(stop[tiles], np.where(hit.any(axis=0), met, M))
+            # The live terms are a prefix. The transmittance keeps its value in
+            # front of the first stopped term, and the colour sum ends at the
+            # block's last live term (each term after it would add 0.0).
+            live = t_front >= STOP_TRANSMITTANCE
+            n_live = live.sum(axis=0)
+            trans[tiles] = np.take_along_axis(scan, n_live[None], 0)[0]
+            weight, s = weight[:n_live.max()], s[:n_live.max()]
+            weight *= live[:len(s)]
+        else:
+            trans[tiles] = scan[-1]
         # The colour sums run along the term axis, row by row, so each
         # pixel's sum is sequential in term order.
-        terms = np.empty((3,) + scan.shape)
+        terms = np.empty((3, len(s) + 1) + weight.shape[1:])
         terms[:, 0] = acc[:, tiles]
         np.multiply(weight, values[6:, s, None], out=terms[:, 1:])
         acc[:, tiles] = np.add.reduce(terms, axis=1)
 
-    for blocks in _rounds(tile, stop.shape[0]):
+    for blocks in plan.rounds:
+        plan.carries.append(trans.copy())
+        open_tiles = _open_tiles(trans, use_thresholds)
         for block in blocks:
-            block = _open(block, (stop[block[0]] == M).any(axis=1))
+            block = _open(block, open_tiles[block[0]])
             if block is not None:  # else a no-op at every pixel
                 composite(block)
 
     trans = _from_tiles(trans, H, W)
     image = trans[:, :, None] * background
     image += _from_tiles(np.moveaxis(acc, 0, 2), H, W)
-    return image, trans, _from_tiles(stop, H, W)
+    return image, trans, plan
 
 
-def _composite_backward(splats, camera, background, use_thresholds, final_trans, stop,
+def _composite_backward(splats, camera, background, use_thresholds, final_trans, plan,
                         grad_image):
     M = splats.mean2d.shape[0]
     nx = -(-camera.width // TILE)
     values, bbox = _terms(splats)
-    tile, splat = _tile_pairs(splats.bbox, nx)
     g_tiles = _to_tiles(grad_image, 0.0)
-    # Pixels beyond the image edge count as stopped before the first term.
-    stop_tiles = _to_tiles(stop, -1)
-    last_stop = stop_tiles.max(axis=1)
-    # Carried from the back, chunk by chunk: the transmittance behind the
-    # current chunk, and g . suffix, where suffix(u) is the colour composited
-    # behind it (the later chunks plus the background).
-    t_behind = _to_tiles(final_trans, 1.0)
+    # Carried from the back, chunk by chunk: g . suffix, where suffix(u) is the
+    # colour composited behind the chunk (the later chunks and the background).
     g_suffix = _to_tiles(final_trans * (grad_image @ np.asarray(background, float)), 0.0)
     # Per term: g_color, then the moments m[a][b] = sum gP dy^a dx^b of
     # dL/dpower; the exponent is quadratic in (dx, dy), so these carry every
     # opacity, mean and conic gradient. Row M gathers the padding terms.
     sums = np.zeros((M + 1, 12))
 
-    def accumulate(block, first_chunk):
+    def accumulate(block, carry):
         tiles = block[0]
-        blk = _block_alphas(values, bbox, splat, block, nx, use_thresholds)
-        s, ahat = blk.s, blk.ahat
+        blk = _block_alphas(values, bbox, plan.splat, block, nx, use_thresholds)
+        s, uncapped = blk.s, blk.alpha <= ALPHA_CAP
+        ahat = np.minimum(blk.alpha, ALPHA_CAP, out=blk.alpha)
         L, b, P = ahat.shape
-        stop_rows = stop_tiles[tiles]
-        if stop_rows.min() < M:  # a term at or after a pixel's stop index is stopped there
-            ahat *= s[:, :, None] < stop_rows
-        t_front = _scan(ahat, 1.0)
-        if not first_chunk:  # the transmittance in front of the chunk, divided back
-            t_start = t_behind[tiles] / t_front[-1]
-            t_behind[tiles] = t_start
-            t_front *= t_start
-        t_front = t_front[:-1]
+        # The forward's scan from the forward's carry: bitwise its t_front.
+        t_front = _scan(ahat, carry[tiles])[:-1]
+        if use_thresholds and (t_front[-1] < STOP_TRANSMITTANCE).any():
+            ahat *= t_front >= STOP_TRANSMITTANCE  # the stopped terms
         weight = ahat * t_front
         g = g_tiles[tiles]
         g_dot_c = (values[6:, s].transpose(1, 2, 0)[:, :, None] @ g.swapaxes(1, 2))[:, :, 0]
@@ -350,7 +348,7 @@ def _composite_backward(splats, camera, background, use_thresholds, final_trans,
         g_power = g_dot_c * t_front
         g_power -= rev[L - 1::-1] / (1.0 - ahat)
         g_power *= ahat
-        g_power *= blk.uncapped
+        g_power *= uncapped
         ones = np.ones_like(blk.dx)
         dx_pows = np.stack((ones, blk.dx, blk.dx2), axis=-1)
         dy_pows = np.stack((ones, blk.dy, blk.dy * blk.dy), axis=-2)
@@ -358,13 +356,12 @@ def _composite_backward(splats, camera, background, use_thresholds, final_trans,
         g_color = (weight[:, :, None] @ g)[:, :, 0]
         np.add.at(sums, s, np.concatenate((g_color, moments.reshape(L, b, 9)), axis=2))
 
-    rounds = _rounds(tile, len(g_tiles))
-    for r in reversed(range(len(rounds))):
-        for block in reversed(rounds[r]):
-            # A tile whose terms are all at or after its last stop adds nothing.
-            block = _open(block, splat[block[1]] < last_stop[block[0]])
+    for blocks, carry in zip(reversed(plan.rounds), reversed(plan.carries)):
+        open_tiles = _open_tiles(carry, use_thresholds)  # the tiles the forward composited
+        for block in reversed(blocks):
+            block = _open(block, open_tiles[block[0]])
             if block is not None:
-                accumulate(block, r == 0)
+                accumulate(block, carry)
 
     g_color, m = sums[:M, :3], sums[:M, 3:].reshape(M, 3, 3)
     A, B, C = splats.conic.T
@@ -408,7 +405,8 @@ def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0)
 
     The decoder input of each visible anchor is its base row, its period
     rows reduced at t and the reduced global row, concatenated. Returns a
-    RenderGraph retaining every intermediate the backward pass needs.
+    RenderGraph retaining every intermediate the backward pass needs, the
+    compositing's tile plan and per-round transmittance carries among them.
     """
     background = np.asarray(background, dtype=np.float64)
     e = encode_time(t, scaffold.T)
@@ -432,7 +430,7 @@ def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0)
         act_rows.astype(np.int64), act_slots.astype(np.int64),
         use_thresholds,
     )
-    image, trans, stop = _composite_forward(splats, camera, background, use_thresholds)
+    image, trans, plan = _composite_forward(splats, camera, background, use_thresholds)
 
     max_opacity = np.maximum(batch.raw_opacity, 0.0).max(axis=1)
     return SimpleNamespace(
@@ -445,7 +443,7 @@ def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0)
         splats=splats,
         splat_anchors=vis[splats.rows],
         splat_slots=splats.slots,
-        final_trans=trans, stop=stop,
+        final_trans=trans, plan=plan,
         max_opacity=max_opacity,
     )
 
@@ -453,6 +451,8 @@ def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0)
 def render_backward(graph, grad_image):
     """Exact adjoint of render: image gradient -> every learnable tensor.
 
+    Compositing reuses the forward's tile plan and rescans each block from
+    its round's carry, so stopped and skipped terms match the forward's.
     Returns a namespace with full-size gradient arrays (zeros for anchors
     that were not visible), the decoder weight gradients, and the per-splat
     2D positional gradients used by the densification statistics.
@@ -462,7 +462,7 @@ def render_backward(graph, grad_image):
     splats = graph.splats
     g_mean2d, g_cov, g_opacity_s, g_color_s = _composite_backward(
         splats, graph.camera, graph.background, graph.use_thresholds,
-        graph.final_trans, graph.stop, grad_image)
+        graph.final_trans, graph.plan, grad_image)
 
     V, K = graph.batch.active.shape
 

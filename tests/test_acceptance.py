@@ -245,8 +245,8 @@ def test_criterion_4_geometry_activation(rng):
         splats, proj = raster._project_and_cull(
             cam, means[keep], quats[keep], scales[keep], raws[keep], colors[keep],
             keep.astype(np.int64), np.zeros(keep.size, dtype=np.int64), True)
-        image, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), True)
-        back = raster._composite_backward(splats, cam, np.zeros(3), True, trans, stop,
+        image, trans, plan = raster._composite_forward(splats, cam, np.zeros(3), True)
+        back = raster._composite_backward(splats, cam, np.zeros(3), True, trans, plan,
                                           grad_image)
         # The projection rows of the rasterized splats, as render_backward takes them.
         rows = SimpleNamespace(**{key: value[splats.proj_index]

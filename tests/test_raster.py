@@ -263,13 +263,15 @@ def test_rendered_channels_in_unit_range(rng):
 
 def test_transmittance_telescoping(rng):
     """Final transmittance equals the product of (1 - ahat) over composited
-    terms, recomputed independently per pixel."""
+    terms, recomputed independently per pixel, and the reference forward's
+    stop index is the per-pixel walk's."""
     cam = identity_camera(width=8, height=8, fx=10.0, fy=10.0, z_offset=2.0)
     splats = project_gaussians(random_gaussians(rng, 12, spread=0.3), cam, True)
-    _, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), True)
-    ref_trans, ref_stop = per_pixel_transmittance(splats, 8, 8)
-    np.testing.assert_array_equal(stop, ref_stop)
-    assert np.abs(trans - ref_trans).max() < 1e-12
+    _, trans, _ = raster._composite_forward(splats, cam, np.zeros(3), True)
+    _, _, ref_stop = reference_composite_forward(splats, 8, 8, np.zeros(3), True)
+    walk_trans, walk_stop = per_pixel_transmittance(splats, 8, 8)
+    np.testing.assert_array_equal(ref_stop, walk_stop)
+    assert np.abs(trans - walk_trans).max() < 1e-12
 
 
 def test_order_permutation_invariance(rng):
@@ -306,14 +308,14 @@ def buried_splats(rng, H, W):
 @pytest.mark.parametrize("use_thresholds", [True, False])
 def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
     """The compositing passes against the reference loops: the forward
-    bitwise, the backward to 1e-12 relative per array, and with thresholds
-    final_trans and stop against a per-pixel walk. The scenes are random,
-    some opaque enough to stop, one with splats wholly behind stopped
-    pixels, and one with no splat; each runs with the default block budget
-    and with budgets so small that tiles share blocks and lists are cut into
-    several chunks. The image width is not a multiple of the tile size."""
+    bitwise, the backward, fed the forward's outputs, to 1e-12 relative per
+    array, and with thresholds the reference's final_trans and stop against a
+    per-pixel walk. The scenes are random, some opaque enough to stop, one
+    with splats wholly behind stopped pixels, and one with no splat; each
+    runs with the default block budget and with budgets so small that tiles
+    share blocks and lists are cut into several chunks. The image width is
+    not a multiple of the tile size."""
     H, W = 16, 20
-    n_tiles = -(-H // raster.TILE) * -(-W // raster.TILE)
     cam = identity_camera(width=W, height=H, fx=18.0, fy=18.0, z_offset=2.0)
     no_splat = explicit_splats(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0),
                                np.zeros((0, 3)), H, W)
@@ -344,22 +346,71 @@ def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
 
         for block_cells in (raster.BLOCK_CELLS, 256, 48):
             monkeypatch.setattr(raster, "BLOCK_CELLS", block_cells)
-            got = raster._composite_forward(splats, cam, bg, use_thresholds)
-            for a, b in zip(got, ref):
-                assert a.tobytes() == b.tobytes()
-            got = raster._composite_backward(splats, cam, bg, use_thresholds, trans, stop,
+            image, got_trans, plan = raster._composite_forward(splats, cam, bg, use_thresholds)
+            assert image.tobytes() == ref[0].tobytes()
+            assert got_trans.tobytes() == trans.tobytes()
+            got = raster._composite_backward(splats, cam, bg, use_thresholds, got_trans, plan,
                                              grad_image)
             for a, b in zip(got, ref_grads):
                 assert a.shape == b.shape
                 assert np.abs(a - b).max(initial=0.0) <= 1e-12 * np.abs(b).max(initial=0.0)
-            tile, _ = raster._tile_pairs(splats.bbox, -(-W // raster.TILE))
-            rounds = raster._rounds(tile, n_tiles)
-            split_lists += len(rounds) > 1
-            batched_tiles += any(len(tiles) > 1 for blocks in rounds for tiles, _, _ in blocks)
+            assert len(plan.carries) == len(plan.rounds)
+            split_lists += len(plan.rounds) > 1
+            batched_tiles += any(len(tiles) > 1 for blocks in plan.rounds
+                                 for tiles, _, _ in blocks)
         monkeypatch.undo()
     assert (stopped > 0) == use_thresholds
     assert (buried > 0) == use_thresholds
     assert split_lists > 0 and batched_tiles > 0
+
+
+def test_carries_are_the_transmittance_in_front_of_each_round(rng, monkeypatch):
+    """One 8x8 tile, one term per round: the carry of round r is bitwise the
+    reference's transmittance over the first r splats, the backward fed the
+    forward's outputs matches the reference, and neither pass composites the
+    tile once all its pixels have stopped. Opaque vertical bands stop the
+    columns round after round; column 0 stops with no later bbox covering it."""
+    H = W = 8
+    cam = identity_camera(width=W, height=H)
+    # (centre x, standard deviation in x, splats), each band spanning every row
+    bands = [(1.0, 1.5, 4), (3.5, 0.9, 7), (7.0, 1.2, 6), (4.5, 0.9, 4), (5.0, 1.2, 3)]
+    mean2d = np.array([[x, 4.0] for x, _, n in bands for _ in range(n)])
+    cov = np.array([[sx * sx, 0.0, 1e4] for _, sx, n in bands for _ in range(n)])
+    M = len(mean2d)
+    color = rng.uniform(0, 1, size=(M, 3))
+
+    def first(r):
+        return explicit_splats(mean2d[:r], cov[:r], np.ones(r), color[:r], H, W)
+
+    splats, bg, grad_image = first(M), rng.uniform(0, 1, size=3), rng.normal(size=(H, W, 3))
+    monkeypatch.setattr(raster, "BLOCK_CELLS", raster.TILE * raster.TILE)
+    composited, block_alphas = [], raster._block_alphas
+
+    def spy(values, bbox, splat, block, nx, use_thresholds):
+        composited.append(int(block[1][0]))  # the tile's pair index, which is the round
+        return block_alphas(values, bbox, splat, block, nx, use_thresholds)
+
+    monkeypatch.setattr(raster, "_block_alphas", spy)
+    image, trans, plan = raster._composite_forward(splats, cam, bg, True)
+    ref_image, ref_trans, ref_stop = reference_composite_forward(splats, H, W, bg, True)
+    assert image.tobytes() == ref_image.tobytes() and trans.tobytes() == ref_trans.tobytes()
+    assert len(plan.carries) == M
+    for r, carry in enumerate(plan.carries):
+        assert carry.tobytes() == reference_composite_forward(first(r), H, W, bg, True)[1].tobytes()
+    stopped_at = [int((carry[0] < raster.STOP_TRANSMITTANCE).sum()) for carry in plan.carries]
+    assert len(set(stopped_at) - {0, H * W}) > 2  # the pixels stop partway, band by band
+    all_stopped = stopped_at.index(H * W)
+    assert all_stopped < M - 1
+    assert (ref_stop[:, 0] == M).all() and (ref_trans[:, 0] < raster.STOP_TRANSMITTANCE).all()
+    assert composited == list(range(all_stopped))
+
+    composited.clear()
+    grads = raster._composite_backward(splats, cam, bg, True, trans, plan, grad_image)
+    assert composited == list(reversed(range(all_stopped)))
+    ref_grads = reference_composite_backward(splats, H, W, bg, True, ref_trans, ref_stop,
+                                             grad_image)
+    for a, b in zip(grads, ref_grads):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_tile_blocks_partition_the_overlaps(rng, monkeypatch):
@@ -394,8 +445,9 @@ def test_transmittance_early_out_forward_and_gradients(rng):
     """A stack of near-opaque splats drives the transmittance below
     STOP_TRANSMITTANCE in the middle of the image but not at its edge.
     Splats 0 and 2 have opacity 1 and sit on the centre of pixel (6, 6),
-    where they are capped. final_trans and stop match a per-pixel walk, and
-    every compositing gradient matches central differences."""
+    where they are capped. final_trans and the reference forward's stop
+    match a per-pixel walk, and every compositing gradient matches central
+    differences."""
     H = W = 12
     cam = identity_camera(width=W, height=H)
     M = 8
@@ -418,24 +470,28 @@ def test_transmittance_early_out_forward_and_gradients(rng):
     def forward():
         return raster._composite_forward(splats_of(), cam, bg, True)
 
+    def reference_stop():
+        return reference_composite_forward(splats_of(), H, W, bg, True)[2]
+
     splats = splats_of()
-    _, trans, stop = forward()
-    ref_trans, ref_stop = per_pixel_transmittance(splats, H, W)
-    np.testing.assert_array_equal(stop, ref_stop)
-    np.testing.assert_allclose(trans, ref_trans, rtol=1e-12, atol=0)
+    _, trans, plan = forward()
+    stop = reference_stop()
+    walk_trans, walk_stop = per_pixel_transmittance(splats, H, W)
+    np.testing.assert_array_equal(stop, walk_stop)
+    np.testing.assert_allclose(trans, walk_trans, rtol=1e-12, atol=0)
     assert (stop < M).sum() >= 20 and (stop == M).sum() >= 20
     assert stop[6, 6] > 2  # both capped terms were composited
 
-    grads = raster._composite_backward(splats, cam, bg, True, trans, stop, grad_image)
+    grads = raster._composite_backward(splats, cam, bg, True, trans, plan, grad_image)
     h = 1e-5
     for arr, grad in zip((mean2d, cov, opacity, color), grads):
         flat, gflat = arr.reshape(-1), grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            img_p, _, stop_p = forward()
+            img_p, stop_p = forward()[0], reference_stop()
             flat[i] = orig - h
-            img_m, _, stop_m = forward()
+            img_m, stop_m = forward()[0], reference_stop()
             flat[i] = orig
             # the perturbation moves no pixel across the stop threshold
             assert stop_p.tobytes() == stop_m.tobytes() == stop.tobytes()
@@ -469,11 +525,11 @@ def test_backward_single_splat_color_gradient():
         cam, g.mean[None], np.array([[1.0, 0, 0, 0]]), g.scale[None],
         np.array([g.opacity]), g.color[None],
         np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), True)
-    image, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), True)
+    image, trans, plan = raster._composite_forward(splats, cam, np.zeros(3), True)
     grad_image = np.zeros((8, 8, 3))
     grad_image[:, :, 0] = 1.0
     _, _, _, g_color = raster._composite_backward(
-        splats, cam, np.zeros(3), True, trans, stop, grad_image)
+        splats, cam, np.zeros(3), True, trans, plan, grad_image)
     # sum of ahat over pixels where it was composited
     xs, ys = np.arange(8) + 0.5, np.arange(8) + 0.5
     A, B, C = splats.conic[0]
@@ -512,9 +568,9 @@ def test_activation_gate_flip_removes_contribution(rng):
             cam, cluster.means[act], cluster.rotations[act], cluster.scales[act],
             cluster.raw_opacity[act], cluster.colors[act],
             act.astype(np.int64), np.zeros(act.size, dtype=np.int64), True)
-        image, trans, stop = raster._composite_forward(splats, cam, np.zeros(3), True)
+        image, trans, plan = raster._composite_forward(splats, cam, np.zeros(3), True)
         gi = np.ones((12, 12, 3))
-        back = raster._composite_backward(splats, cam, np.zeros(3), True, trans, stop, gi)
+        back = raster._composite_backward(splats, cam, np.zeros(3), True, trans, plan, gi)
         return splats, image, back
 
     splats_pos, img_pos, back_pos = run(raws_pos)
