@@ -80,8 +80,16 @@ class TrainConfig:
             raise ConfigInvalid("densify_interval must be positive")
         if not (0.0 <= self.loss_lambda <= 1.0):
             raise ConfigInvalid("loss_lambda must lie in [0, 1]")
-        if self.voxel_fraction <= 0:
-            raise ConfigInvalid("voxel_fraction must be positive")
+        inf = math.inf  # every comparison below is False for NaN
+        for key, ok, need in (
+                ("voxel_fraction", 0 < self.voxel_fraction < inf, "positive and finite"),
+                ("tau_g", 0 <= self.tau_g < inf, "non-negative and finite"),
+                ("min_opacity", 0 <= self.min_opacity <= 1, "in [0, 1]"),
+                ("opacity_bias", -inf < self.opacity_bias < inf, "finite"),
+                *((key, getattr(self, key) >= 0, "non-negative")
+                  for key in ("seed", "log_interval", "checkpoint_interval", "eval_interval"))):
+            if not ok:
+                raise ConfigInvalid(f"{key} must be {need}")
         if len(self.background) != 3 or any(not (0 <= b <= 1) for b in self.background):
             raise ConfigInvalid("background must be three values in [0, 1]")
         return self

@@ -12,7 +12,6 @@ calibration values.
 
 import sys
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -242,17 +241,14 @@ def test_criterion_4_geometry_activation(rng):
 
     def run(keep):
         keep = np.asarray(keep)
-        splats, proj = raster._project_and_cull(
+        splats = raster._project_and_cull(
             cam, means[keep], quats[keep], scales[keep], raws[keep], colors[keep],
             keep.astype(np.int64), np.zeros(keep.size, dtype=np.int64), True)
         image, trans, plan = raster._composite_forward(splats, cam, np.zeros(3), True)
         back = raster._composite_backward(splats, cam, np.zeros(3), True, trans, plan,
                                           grad_image)
-        # The projection rows of the rasterized splats, as render_backward takes them.
-        rows = SimpleNamespace(**{key: value[splats.proj_index]
-                                  for key, value in vars(proj).items()})
         g_means, g_quats, g_scales = geom.project_splats_backward(
-            cam, rows, back[0], back[1]) if splats.mean2d.shape[0] else (None,) * 3
+            cam, splats, back[0], back[1]) if splats.mean2d.shape[0] else (None,) * 3
         return splats, image, back, (g_means, g_quats, g_scales)
 
     with_slot = run([0, 1, 2, 3])

@@ -223,6 +223,19 @@ def _bad_data(edit):
     return argv
 
 
+def _bad_set(item):
+    def argv(workspace, tmp_path):
+        _, _, data_dir, _, config = workspace
+        return ["train", "--data", str(data_dir), "--out", str(tmp_path / "x.ckpt"),
+                "--config", str(config), "--set", item]
+    return argv
+
+
+_BAD_SETS = ["voxel_fraction=nan", "voxel_fraction=inf", "opacity_bias=nan", "tau_g=nan",
+             "min_opacity=nan", "log_interval=-1", "checkpoint_interval=-1", "eval_interval=-1",
+             "seed=-1"]
+
+
 @pytest.mark.parametrize("make_argv,code,named", [
     (_bad_spec(lambda s: s["primitives"][0].update(opacity=2.0)), 2, "opacity"),
     (_bad_spec(lambda s: s["primitives"][1].update(scale=[0.2, -0.2, 0.25])), 2, "scale"),
@@ -241,14 +254,15 @@ def _bad_data(edit):
     (_bad_data(lambda d: _set_fields(d / "points3D_0.txt", 2, slice(1, 2), ["nan"])), 3,
      "points3D_0.txt:2"),
     (_bad_data(_no_points), 3, "no sparse points"),
+    *((_bad_set(item), 2, item.partition("=")[0]) for item in _BAD_SETS),
 ], ids=["opacity", "scale", "width", "orbit-on-target", "points-negative", "width-fraction",
         "no-cameras", "seed-negative", "fx-zero", "fx-nan", "quat-zero", "point-nan",
-        "no-points"])
+        "no-points", *(f"set-{item}" for item in _BAD_SETS)])
 def test_non_finite_or_out_of_range_input_exit_code(workspace, tmp_path, make_argv, code,
                                                     named):
-    """Out-of-range and non-finite values in a scene spec (exit 2) or a
-    dataset (exit 3) end in their documented exit code with a one-line
-    message, never a traceback or a run."""
+    """Out-of-range and non-finite values in a scene spec or a training
+    config (exit 2) or a dataset (exit 3) end in their documented exit code
+    with a one-line message, never a traceback or a run."""
     src = pathlib.Path(cli.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "periodsplat.cli",

@@ -66,12 +66,12 @@ def test_project_mean_behind_camera():
     means = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, geom.NEAR_PLANE],
                       [0.0, 0.0, 2.0]])
     n = means.shape[0]
-    splats, proj = raster._project_and_cull(
+    splats = raster._project_and_cull(
         cam, means, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.full((n, 3), 0.1),
         np.full(n, 0.5), np.full((n, 3), 0.5), np.arange(n), np.zeros(n, dtype=np.int64),
         True)
     assert splats.rows.tolist() == [3]
-    assert proj.depth.tolist() == [2.0]
+    assert splats.depth.tolist() == [2.0]
 
 
 def test_project_mean_matches_pinhole_oracle(rng):

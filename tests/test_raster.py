@@ -9,6 +9,7 @@ from periodsplat.optim import l1_loss
 from periodsplat.temporal import encode_time
 from types import SimpleNamespace
 
+import oracles
 from conftest import identity_camera, micro_scene
 from oracles import (naive_composite_image, per_pixel_transmittance,
                      reference_composite_backward, reference_composite_forward)
@@ -45,7 +46,7 @@ def random_gaussians(rng, m, spread=0.5):
 
 def project_gaussians(gaussians, cam, use_thresholds):
     m = len(gaussians)
-    splats, _ = raster._project_and_cull(
+    splats = raster._project_and_cull(
         cam,
         np.stack([g.mean for g in gaussians]),
         np.stack([geom.quat_normalize(g.rotation) for g in gaussians]),
@@ -59,7 +60,7 @@ def project_gaussians(gaussians, cam, use_thresholds):
 def cull_cluster(cluster, cam):
     """_project_and_cull over every slot of one decoded cluster."""
     K = cluster.raw_opacity.shape[0]
-    splats, _ = raster._project_and_cull(
+    splats = raster._project_and_cull(
         cam, cluster.means, cluster.rotations, cluster.scales, cluster.raw_opacity,
         cluster.colors, np.zeros(K, dtype=np.int64), np.arange(K), True)
     return splats
@@ -413,6 +414,31 @@ def test_carries_are_the_transmittance_in_front_of_each_round(rng, monkeypatch):
         assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+def test_term_exactly_at_the_stop_transmittance_composites(rng, monkeypatch):
+    """A term whose transmittance in front is exactly STOP_TRANSMITTANCE is
+    composited; the next one is stopped. One pixel, one term per round, and
+    splats of alpha exactly 0.5 under a stop of 0.25: the third term sees 0.25
+    (and the tile is open only through that pixel), the fourth 0.125."""
+    monkeypatch.setattr(raster, "STOP_TRANSMITTANCE", 0.25)
+    monkeypatch.setattr(oracles, "STOP_T", 0.25)
+    monkeypatch.setattr(raster, "BLOCK_CELLS", raster.TILE * raster.TILE)
+    cam = identity_camera(width=1, height=1)
+    M = 5
+    splats = explicit_splats(np.full((M, 2), 0.5), np.tile([0.5, 0.0, 0.5], (M, 1)),
+                             np.full(M, 0.5), rng.uniform(0, 1, size=(M, 3)), 1, 1)
+    bg, grad_image = rng.uniform(0, 1, size=3), rng.normal(size=(1, 1, 3))
+    image, trans, plan = raster._composite_forward(splats, cam, bg, True)
+    ref_image, ref_trans, ref_stop = reference_composite_forward(splats, 1, 1, bg, True)
+    assert ref_trans[0, 0] == 0.125 and ref_stop[0, 0] == 3
+    assert image.tobytes() == ref_image.tobytes() and trans.tobytes() == ref_trans.tobytes()
+    grads = raster._composite_backward(splats, cam, bg, True, trans, plan, grad_image)
+    ref_grads = reference_composite_backward(splats, 1, 1, bg, True, ref_trans, ref_stop,
+                                             grad_image)
+    assert (ref_grads[3][:3] != 0).all() and not ref_grads[3][3:].any()
+    for a, b in zip(grads, ref_grads):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
 def test_tile_blocks_partition_the_overlaps(rng, monkeypatch):
     """Every (splat, tile) bbox overlap appears in exactly one block, in
     depth order within its tile, a list's chunks follow each other round
@@ -521,7 +547,7 @@ def test_backward_single_splat_color_gradient():
     g = geom.Gaussian3D(mean=np.zeros(3), rotation=np.array([1.0, 0, 0, 0]),
                         scale=np.array([0.2, 0.2, 0.2]), opacity=0.8,
                         color=np.array([0.5, 0.5, 0.5]))
-    splats, proj = raster._project_and_cull(
+    splats = raster._project_and_cull(
         cam, g.mean[None], np.array([[1.0, 0, 0, 0]]), g.scale[None],
         np.array([g.opacity]), g.color[None],
         np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), True)
@@ -564,7 +590,7 @@ def test_activation_gate_flip_removes_contribution(rng):
     def run(raws):
         cluster = make_cluster(raws, means, colors=colors, scales=0.12)
         act = np.nonzero(cluster.active)[0]
-        splats, _ = raster._project_and_cull(
+        splats = raster._project_and_cull(
             cam, cluster.means[act], cluster.rotations[act], cluster.scales[act],
             cluster.raw_opacity[act], cluster.colors[act],
             act.astype(np.int64), np.zeros(act.size, dtype=np.int64), True)

@@ -93,7 +93,7 @@ def fused(rng, t, use_thresholds=True):
                           background=np.array([0.1, 0.15, 0.2]),
                           use_thresholds=use_thresholds)
     assert graph.visible.size == len(scaffold)
-    h, d_b, d_v = graph.h, scaffold.d_b, scaffold.d_v
+    h, d_b, d_v = graph.batch.u[:, :-3], scaffold.d_b, scaffold.d_v
     blocks = (h[:, :d_b], h[:, d_b:d_b + d_v], h[:, d_b + d_v:])
     return (scaffold, weights, global_g), graph, blocks
 
@@ -103,7 +103,7 @@ def test_fuse_zero_features(rng):
     for arr in (scaffold.f_base, scaffold.f_var, global_g):
         arr[:] = 0.0
     for t in (0, 0.4, 1):
-        h = raster.render(scaffold, identity_camera(), t, weights, global_g).h
+        h = raster.render(scaffold, identity_camera(), t, weights, global_g).batch.u[:, :-3]
         assert h.shape == (len(scaffold), scaffold.d_b + scaffold.d_v + global_g.shape[1])
         assert not h.any()
 

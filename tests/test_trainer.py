@@ -199,7 +199,7 @@ def test_ablate_base_still_trains(tiny_dataset, component):
     block = slice(edges[component], edges[component + 1])
     cam = tiny_dataset.test_cameras()[0]
     for t in (0, 0.5, 1):
-        assert not tr.render_from_state(state, cam, t).h[:, block].any()
+        assert not tr.render_from_state(state, cam, t).batch.u[:, block].any()
 
 
 def test_ablation_keeps_shapes(tiny_dataset):
