@@ -8,15 +8,3 @@ multi-period images, including synthesis of fractional-period states.
 """
 
 __version__ = "0.1.0"
-
-from .errors import PeriodSplatError
-from .geom import Camera, Gaussian3D
-from .temporal import encode_time
-
-__all__ = [
-    "Camera",
-    "Gaussian3D",
-    "PeriodSplatError",
-    "encode_time",
-    "__version__",
-]

@@ -21,31 +21,14 @@ class _UsageError(Exception):
     pass
 
 
-def _set_threads(argv):
-    """Pin the BLAS thread count from --threads N or --threads=N; like
-    argparse, the last occurrence wins. Without the flag, a thread variable
-    that is not set already defaults to 1."""
-    n = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            n = argv[i + 1]
-        elif arg.startswith("--threads="):
-            n = arg.partition("=")[2]
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        if n is None:
-            os.environ.setdefault(var, "1")
-        else:
-            os.environ[var] = n
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="periodsplat",
         description="Multi-period Gaussian-splatting reconstruction toolkit")
     parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread count, set before numpy loads "
-                             "(default: 1 where the thread variable is unset)")
+                        help="BLAS thread count (at least 1), set before numpy loads; "
+                             "the same count gives the same checkpoint bytes on any "
+                             "host (default: 1 where the thread variable is unset)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="render a synthetic multi-period dataset")
@@ -262,10 +245,17 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _set_threads(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
+    # No numpy is loaded yet: the flag wins, an unset variable becomes 1.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        if args.threads is None:
+            os.environ.setdefault(var, "1")
+        else:
+            os.environ[var] = str(args.threads)
 
     from .errors import (ConfigInvalid, InternalError, OutOfRange,
                          PeriodSplatError, SpecInvalid)

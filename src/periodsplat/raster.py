@@ -417,8 +417,6 @@ def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0)
         use_thresholds,
     )
     image, trans, plan = _composite_forward(splats, camera, background, use_thresholds)
-
-    max_opacity = np.maximum(batch.raw_opacity, 0.0).max(axis=1)
     return SimpleNamespace(
         image=image, background=background, camera=camera, encoding=e,
         use_thresholds=use_thresholds,
@@ -427,10 +425,7 @@ def render(scaffold, camera, t, weights, global_rows, background=(0.0, 0.0, 0.0)
         batch=batch,
         weights_ref=weights,
         splats=splats,
-        splat_anchors=vis[splats.rows],
-        splat_slots=splats.slots,
         final_trans=trans, plan=plan,
-        max_opacity=max_opacity,
     )
 
 

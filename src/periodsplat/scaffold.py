@@ -160,10 +160,10 @@ def accumulate_stats(scaffold, graph, grads):
     anchor adds its strongest decoded opacity and one sample.
     """
     st = scaffold.stats
-    cells = (graph.splat_anchors, graph.splat_slots)
+    cells = (graph.visible[graph.splats.rows], graph.splats.slots)
     np.add.at(st.grad_norm_sum, cells, np.linalg.norm(grads.splat_mean2d, axis=1))
     np.add.at(st.visible_count, cells, 1)
-    st.opacity_sum[graph.visible] += graph.max_opacity
+    st.opacity_sum[graph.visible] += np.maximum(graph.batch.raw_opacity, 0.0).max(axis=1)
     st.sample_count[graph.visible] += 1
 
 

@@ -35,21 +35,16 @@ def encode_time(t, T):
 
 
 def reduce_periods(M, e):
-    """Weighted sum of period rows: sum_tau e[tau] * M[tau, :].
-
-    Exactly one-hot encodings return the selected row bitwise (a copy).
-    """
-    M = np.asarray(M)
-    if M.shape[0] != e.shape[0]:
-        raise ShapeMismatch(f"matrix has {M.shape[0]} period rows, encoding has {e.shape[0]}")
-    nz = np.nonzero(e)[0]
-    if nz.size == 1 and e[nz[0]] == 1.0:
-        return M[nz[0]].copy()
-    return e @ M
+    """reduce_periods_many of one (T, d) matrix: (d,)."""
+    return reduce_periods_many(np.asarray(M)[None], e)[0]
 
 
 def reduce_periods_many(M, e):
-    """reduce_periods over a batch: M (N, T, d) -> (N, d)."""
+    """Weighted sums of period rows: M (N, T, d) -> (N, d), each row
+    sum_tau e[tau] * M[n, tau, :].
+
+    Exactly one-hot encodings return the selected rows bitwise (a copy).
+    """
     if M.shape[1] != e.shape[0]:
         raise ShapeMismatch(f"matrix has {M.shape[1]} period rows, encoding has {e.shape[0]}")
     nz = np.nonzero(e)[0]

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import struct
-import sys
 import zlib
 from dataclasses import dataclass, fields, replace
 
@@ -351,7 +350,7 @@ def evaluate(state, dataset):
     return summary
 
 
-def train(config, dataset, out_path=None, log_path=None, log_stream=None):
+def train(config, dataset, out_path=None, log_path=None):
     """Run the full training schedule; returns the final TrainState.
 
     Writes a checkpoint to out_path (and every checkpoint_interval
@@ -363,11 +362,8 @@ def train(config, dataset, out_path=None, log_path=None, log_stream=None):
     evaluates = bool(dataset.test_cameras())
 
     def log(record):
-        line = json.dumps(record, sort_keys=True)
         if log_file:
-            log_file.write(line + "\n")
-        if log_stream:
-            print(line, file=log_stream)
+            log_file.write(json.dumps(record, sort_keys=True) + "\n")
 
     try:
         for it in range(config.total_iters):
@@ -386,7 +382,7 @@ def train(config, dataset, out_path=None, log_path=None, log_stream=None):
                 log({"iter": it, "eval": evaluate(state, dataset)})
             if out_path and config.checkpoint_interval and it and it % config.checkpoint_interval == 0:
                 save_checkpoint(state, out_path)
-        if evaluates and (log_file or log_stream):
+        if evaluates and log_file:
             log({"iter": config.total_iters, "eval": evaluate(state, dataset)})
         if out_path:
             save_checkpoint(state, out_path)
@@ -399,24 +395,21 @@ def train(config, dataset, out_path=None, log_path=None, log_stream=None):
 # ---------------------------------------------------------------------------
 # Checkpoint format
 
-_DTYPE_CODES = {0: np.float64, 1: np.int64}
+# Tensors are stored little-endian whatever the host's byte order.
+_DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<i8")}
 
 
 def _encode_tensor(arr):
     arr = np.asarray(arr)
     if arr.dtype.kind == "f":
-        arr = arr.astype(np.float64)
         code = 0
     elif arr.dtype.kind in "iub":
-        arr = arr.astype(np.int64)
         code = 1
     else:
         raise ValueError(f"cannot encode dtype {arr.dtype}")
     header = struct.pack("<BB", code, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b""
-    if sys.byteorder == "big":  # stored little-endian
-        arr = arr.byteswap()
-    return header + dims + arr.tobytes(order="C")
+    return header + dims + arr.astype(_DTYPE_CODES[code]).tobytes(order="C")
 
 
 def _decode_tensor(payload):
@@ -428,15 +421,13 @@ def _decode_tensor(payload):
         raise CorruptChecksum(f"truncated tensor header: {exc}") from exc
     if code not in _DTYPE_CODES:
         raise CorruptChecksum(f"unknown tensor dtype code {code}")
-    dtype = np.dtype(_DTYPE_CODES[code])
+    dtype = _DTYPE_CODES[code]
     offset = 2 + 8 * ndim
     if len(payload) - offset != math.prod(shape) * dtype.itemsize:
         raise CorruptChecksum(f"tensor payload of {len(payload) - offset} bytes "
                               f"does not hold shape {shape}")
     arr = np.frombuffer(payload, dtype=dtype, offset=offset).reshape(shape)
-    if sys.byteorder == "big":
-        arr = arr.byteswap()
-    return arr.copy()
+    return arr.astype(dtype.newbyteorder("="))
 
 
 def _checkpoint_sections(state):

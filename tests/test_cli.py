@@ -409,21 +409,74 @@ def test_inspect_crc_valid_fault_exit_3(workspace, tmp_path, fault):
     assert cli.main(["inspect", "--ckpt", str(bad)]) == 3
 
 
-@pytest.mark.parametrize("argv", [["--threads", "3", "inspect", "--ckpt", "x"],
-                                  ["--threads=3", "inspect", "--ckpt", "x"],
-                                  ["inspect", "--ckpt", "x"]])
-def test_threads_flag_pins_blas_both_forms(argv, monkeypatch):
-    """The flag wins in both forms; without it an unset thread variable
-    becomes 1 and a preset one is kept."""
-    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS")
-    flagged = any(arg.startswith("--threads") for arg in argv)
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("argv", [["--threads", "3"], ["--threads=3"], [], ["--thread", "3"]])
+def test_threads_flag_pins_blas_both_forms(argv, tmp_path, monkeypatch):
+    """main sets the thread variables from the parsed flag in every form
+    argparse accepts, the abbreviation included; without it an unset
+    variable becomes 1 and a preset one is kept."""
     for preset, unflagged in (("7", "7"), (None, "1")):
-        for var in names:
+        for var in _THREAD_VARS:
             if preset is None:
                 monkeypatch.delenv(var, raising=False)
             else:
                 monkeypatch.setenv(var, preset)
-        cli._set_threads(argv)
-        expected = "3" if flagged else unflagged
-        assert [os.environ[var] for var in names] == [expected] * 4
+        assert cli.main([*argv, "inspect", "--ckpt", str(tmp_path / "missing.ckpt")]) == 3
+        expected = "3" if argv else unflagged
+        assert [os.environ[var] for var in _THREAD_VARS] == [expected] * 4
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_threads_below_one_exit_2(count, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--threads", count, "inspect", "--ckpt", str(tmp_path / "x.ckpt")])
+    assert exc.value.code == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+
+
+def _run_python(script, *args, **env_over):
+    src = pathlib.Path(cli.__file__).parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(env_over, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_numpy():
+    """The thread variables only reach BLAS if numpy loads after main has
+    set them, so importing the entry point must not load it."""
+    assert _run_python("import sys, periodsplat.cli; print('numpy' in sys.modules)") == "False"
+
+
+_BLAS_THREADS_SCRIPT = """
+import ctypes, glob, os, sys
+from periodsplat import cli
+assert cli.main(["--threads", "1", "inspect", "--ckpt", sys.argv[1]]) == 3
+import numpy
+libs = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                              "*openblas*"))
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            print(getattr(lib, name)())
+            sys.exit(0)
+print("absent")
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset-2"])
+def test_threads_flag_reaches_openblas(preset, tmp_path):
+    """--threads 1 is the count OpenBLAS runs with, also over a preset
+    variable that would give it two threads."""
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    out = _run_python(_BLAS_THREADS_SCRIPT, str(tmp_path / "x.ckpt"), **env)
+    if out == "absent":
+        pytest.skip("numpy.libs holds no OpenBLAS exporting a get_num_threads symbol")
+    assert out == "1"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -110,11 +112,16 @@ def test_visible_anchors_matches_brute_force(rng):
 
 
 class FakeGraph:
-    def __init__(self, anchors, slots, visible, max_opacity):
-        self.splat_anchors = np.asarray(anchors, dtype=np.int64)
-        self.splat_slots = np.asarray(slots, dtype=np.int64)
+    """The render graph fields accumulate_stats reads: splats of the given
+    (anchor, slot) cells, the ascending visible anchors, and their decoded
+    raw opacities (V, K)."""
+
+    def __init__(self, anchors, slots, visible, raw_opacity):
         self.visible = np.asarray(visible, dtype=np.int64)
-        self.max_opacity = np.asarray(max_opacity, dtype=np.float64)
+        rows = np.searchsorted(self.visible, anchors)
+        assert np.array_equal(self.visible[rows], anchors)
+        self.splats = SimpleNamespace(rows=rows, slots=np.asarray(slots, dtype=np.int64))
+        self.batch = SimpleNamespace(raw_opacity=np.asarray(raw_opacity, dtype=np.float64))
 
 
 class FakeGrads:
@@ -126,7 +133,7 @@ class FakeGrads:
 def test_accumulate_stats_zero_grads(rng):
     s = make_scaffold([rng.uniform(0, 1, size=(10, 3))], voxel=0.2, K=3)
     n = len(s)
-    graph = FakeGraph([0, 1], [0, 2], [0, 1, 2], [0.5, 0.0, 0.3])
+    graph = FakeGraph([0, 1], [0, 2], [0, 1, 2], [[0.5, 0.1], [-0.2, -0.4], [0.3, 0.0]])
     grads = FakeGrads(np.zeros((2, 2)), np.zeros((n, 4)))
     sc.accumulate_stats(s, graph, grads)
     assert not s.stats.grad_norm_sum.any()
@@ -137,7 +144,7 @@ def test_accumulate_stats_zero_grads(rng):
 
 def test_accumulate_stats_three_four_five(rng):
     s = make_scaffold([rng.uniform(0, 1, size=(10, 3))], voxel=0.2, K=3)
-    graph = FakeGraph([2], [1], [2], [0.9])
+    graph = FakeGraph([2], [1], [2], [[0.9]])
     grads = FakeGrads(np.array([[3.0, 4.0]]), np.zeros((len(s), 4)))
     sc.accumulate_stats(s, graph, grads)
     assert s.stats.grad_norm_sum[2, 1] == 5.0
@@ -151,7 +158,7 @@ def test_accumulate_stats_additive(rng):
     for _ in range(4):
         m = int(rng.integers(1, 6))
         graph = FakeGraph(rng.integers(0, n, size=m), rng.integers(0, 2, size=m),
-                          np.arange(n), rng.uniform(0, 1, size=n))
+                          np.arange(n), rng.uniform(-1, 1, size=(n, 2)))
         grads = FakeGrads(rng.normal(size=(m, 2)), rng.normal(size=(n, 4)))
         views.append((graph, grads))
     for graph, grads in views:

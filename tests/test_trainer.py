@@ -490,19 +490,18 @@ def test_checkpoint_interval_saves_mid_run(tiny_dataset, tmp_path, monkeypatch):
     assert a.pop("config") != b.pop("config") and a == b
 
 
-def test_eval_interval_logs_mid_run_evals(tiny_dataset):
+def test_eval_interval_logs_mid_run_evals(tiny_dataset, tmp_path):
     """eval_interval=5 adds eval records at iterations 5, 10 and 15 to the
     final one, and leaves every training loss unchanged."""
-    import io
     import json
 
-    def run(**over):
-        stream = io.StringIO()
+    def run(name, **over):
+        log_path = tmp_path / f"{name}.jsonl"
         tr.train(tiny_config(total_iters=20, log_interval=1, **over), tiny_dataset,
-                 log_stream=stream)
-        return [json.loads(line) for line in stream.getvalue().splitlines()]
+                 log_path=log_path)
+        return [json.loads(line) for line in log_path.read_text().splitlines()]
 
-    plain, evaluated = run(), run(eval_interval=5)
+    plain, evaluated = run("plain"), run("evaluated", eval_interval=5)
     assert [r["iter"] for r in evaluated if "eval" in r] == [5, 10, 15, 20]
     assert [r["iter"] for r in plain if "eval" in r] == [20]
     losses = [r for r in plain if "total" in r]
