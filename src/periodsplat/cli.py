@@ -133,9 +133,8 @@ def _resolve_camera(spec, data_dir):
     if cam_id is not None:
         if not data_dir:
             raise _UsageError("--camera <id> needs --data to resolve against")
-        from .dataio import load_dataset
-        dataset = load_dataset(data_dir)
-        for cam in dataset.cameras:
+        from .dataio import parse_colmap
+        for cam in parse_colmap(data_dir)[0]:
             if cam.id == cam_id:
                 return cam
         raise _UsageError(f"camera id {cam_id} not in dataset")

@@ -1,19 +1,21 @@
 """Dataset ingestion, image I/O, and the synthetic multi-period generator.
 
-On-disk dataset layout (COLMAP text convention plus period sidecars):
+On-disk dataset layout (COLMAP text convention plus two manifests):
 
     dataset/
       cameras.txt            COLMAP camera intrinsics (PINHOLE / SIMPLE_PINHOLE)
       images.txt             COLMAP extrinsics; two lines per image
       points3D.txt           union sparse points across all periods
-      points3D_<t>.txt       optional per-period sparse points
       periods.txt            "image_name period_id" per line, ids contiguous 0..T-1
       split.txt              optional "image_name train|test" per line
       images/<image_name>    PPM (P6) image files
 
+Each manifest (periods.txt, split.txt) lists every image exactly once.
 Without split.txt, even positions in images.txt order train and odd ones
-test. Ground-truth images from the synthetic generator are rendered with
-this package's own rasterizer, so a trained model can reach them exactly.
+test. Other files, per-period point lists included, are ignored: the
+scaffold reads only the union of all periods' points. Ground-truth images
+from the synthetic generator are rendered with this package's own
+rasterizer, so a trained model can reach them exactly.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (EmptyDataset, EmptyPointCloud, IoError, MissingFile,
-                     NonContiguousPeriods, ParseError, SpecInvalid, UnknownImage,
-                     UnsupportedCameraModel)
+from .errors import (EmptyDataset, IoError, MissingFile, NonContiguousPeriods, ParseError,
+                     SpecInvalid, UnknownImage, UnsupportedCameraModel)
 from .geom import Camera, Gaussian3D, quat_normalize, rotmat_to_quat
 from .raster import render_gaussians
 
@@ -161,6 +162,7 @@ def parse_colmap(directory):
             raise ParseError(str(exc), path=cam_path, line=ln) from exc
 
     cameras = []
+    seen_ids, seen_names = set(), set()
     expect_pose = True
     try:
         with open(img_path, "r") as f:
@@ -183,6 +185,12 @@ def parse_colmap(directory):
             image_id, cam_id = int(parts[0]), int(parts[8])
             if cam_id not in intrinsics:
                 raise ValueError(f"image references unknown camera {cam_id}")
+            if image_id in seen_ids:
+                raise ValueError(f"image id {image_id} is repeated")
+            if parts[9] in seen_names:
+                raise ValueError(f"image name {parts[9]!r} is repeated")
+            seen_ids.add(image_id)
+            seen_names.add(parts[9])
             cameras.append(replace(
                 intrinsics[cam_id], id=image_id,
                 rotation=quat_normalize([float(p) for p in parts[1:5]]),
@@ -213,15 +221,6 @@ def read_points(path):
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 
-def write_points(path, points):
-    """Write (N, 3) positions as a points3D text file (inverse of read_points)."""
-    with open(path, "w") as f:
-        f.write("# 3D point list: POINT3D_ID X Y Z R G B ERROR\n")
-        for i, p in enumerate(points, start=1):
-            xyz = " ".join(FLOAT_FMT % v for v in p)
-            f.write(f"{i} {xyz} 128 128 128 0\n")
-
-
 def write_colmap(directory, cameras, points):
     """Write cameras/images/points3D text files (inverse of parse_colmap).
 
@@ -240,28 +239,11 @@ def write_colmap(directory, cameras, points):
             q = " ".join(FLOAT_FMT % v for v in cam.rotation)
             t = " ".join(FLOAT_FMT % v for v in cam.translation)
             f.write(f"{cam.id} {q} {t} {cam.id} {cam.image_name}\n\n")
-    write_points(os.path.join(directory, "points3D.txt"), points)
-
-
-def load_periods(path):
-    """Parse the period manifest: one "image_name period" pair per line."""
-    _require(path)
-    mapping = {}
-    for ln, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("expected 'image_name period'", path=path, line=ln)
-        try:
-            mapping[parts[0]] = int(parts[1])
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=ln) from exc
-    if not mapping:
-        raise ParseError("empty period manifest", path=path)
-    ids = set(mapping.values())
-    T = max(ids) + 1
-    if ids != set(range(T)):
-        raise NonContiguousPeriods(f"period ids {sorted(ids)} are not contiguous 0..{T - 1}")
-    return mapping
+    with open(os.path.join(directory, "points3D.txt"), "w") as f:
+        f.write("# 3D point list: POINT3D_ID X Y Z R G B ERROR\n")
+        for i, p in enumerate(points, start=1):
+            xyz = " ".join(FLOAT_FMT % v for v in p)
+            f.write(f"{i} {xyz} 128 128 128 0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +270,7 @@ class ImageStore(Mapping):
 class MultiPeriodDataset:
     cameras: list  # Camera, sorted by id, periods filled
     images: Mapping  # camera id -> (H, W, 3) float array in [0, 1]
-    per_period_points: list  # T arrays of (N_t, 3)
+    points: np.ndarray  # (N, 3) sparse points of all periods
     split: dict  # camera id -> "train" | "test"
     T: int
 
@@ -298,54 +280,55 @@ class MultiPeriodDataset:
     def test_cameras(self):
         return [c for c in self.cameras if self.split[c.id] == "test"]
 
-    def union_points(self):
-        points = [p for p in self.per_period_points if p.size]
-        if not points:
-            raise EmptyPointCloud("the dataset has no sparse points")
-        return np.concatenate(points, axis=0)
+
+def _split_tag(value):
+    if value not in ("train", "test"):
+        raise ValueError(f"expected train or test, got {value!r}")
+    return value
+
+
+def _read_manifest(path, cameras, parse):
+    """Camera id -> parse(value) from a manifest of "image_name value" lines
+    that names each camera's image exactly once."""
+    id_of = {c.image_name: c.id for c in cameras}
+    values = {}
+    for ln, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError("expected 'image_name value'", path=path, line=ln)
+        name, value = parts
+        if name not in id_of:
+            raise UnknownImage(f"{path} names {name!r}, absent from images.txt")
+        if id_of[name] in values:
+            raise ParseError(f"image {name!r} is repeated", path=path, line=ln)
+        try:
+            values[id_of[name]] = parse(value)
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=ln) from exc
+    for cam in cameras:
+        if cam.id not in values:
+            raise ParseError(f"image {cam.image_name!r} has no entry", path=path)
+    return values
 
 
 def load_dataset(directory):
     """Assemble a MultiPeriodDataset from an on-disk directory."""
-    cameras, union = parse_colmap(directory)
+    cameras, points = parse_colmap(directory)
     if not cameras:
         raise EmptyDataset(f"no images in {directory}")
-    period_of = load_periods(os.path.join(directory, "periods.txt"))
-
-    names = {c.image_name for c in cameras}
-    for name in period_of:
-        if name not in names:
-            raise UnknownImage(f"periods.txt names {name!r}, absent from images.txt")
+    period_of = _read_manifest(_require(os.path.join(directory, "periods.txt")), cameras, int)
+    ids = set(period_of.values())
+    T = max(ids) + 1
+    if ids != set(range(T)):
+        raise NonContiguousPeriods(f"period ids {sorted(ids)} are not contiguous 0..{T - 1}")
     for cam in cameras:
-        if cam.image_name not in period_of:
-            raise ParseError(f"image {cam.image_name!r} has no period entry",
-                             path=os.path.join(directory, "periods.txt"))
-        cam.period = period_of[cam.image_name]
-    T = max(period_of.values()) + 1
-
-    sidecars = [os.path.join(directory, f"points3D_{t}.txt") for t in range(T)]
-    if all(os.path.isfile(p) for p in sidecars):
-        per_period = [read_points(p) for p in sidecars]
-    else:
-        per_period = [union.copy() for _ in range(T)]
+        cam.period = period_of[cam.id]
 
     split_path = os.path.join(directory, "split.txt")
-    split = {}
     if os.path.isfile(split_path):
-        by_name = {c.image_name: c.id for c in cameras}
-        for ln, line in _data_lines(split_path):
-            parts = line.split()
-            if len(parts) != 2 or parts[1] not in ("train", "test"):
-                raise ParseError("expected 'image_name train|test'", path=split_path, line=ln)
-            if parts[0] not in by_name:
-                raise UnknownImage(f"split.txt names {parts[0]!r}, absent from images.txt")
-            split[by_name[parts[0]]] = parts[1]
-        for cam in cameras:
-            if cam.id not in split:
-                raise ParseError(f"image {cam.image_name!r} has no split entry", path=split_path)
+        split = _read_manifest(split_path, cameras, _split_tag)
     else:
-        for i, cam in enumerate(cameras):
-            split[cam.id] = "train" if i % 2 == 0 else "test"
+        split = {cam.id: "train" if i % 2 == 0 else "test" for i, cam in enumerate(cameras)}
 
     pixels = {}
     for cam in cameras:
@@ -353,7 +336,7 @@ def load_dataset(directory):
         if pixels[cam.id].shape[:2] != (cam.height, cam.width):
             raise ParseError(f"image {cam.image_name!r} size does not match camera")
     return MultiPeriodDataset(cameras=cameras, images=ImageStore(pixels),
-                              per_period_points=per_period, split=split, T=T)
+                              points=points, split=split, T=T)
 
 
 # ---------------------------------------------------------------------------
@@ -542,22 +525,19 @@ def generate_synthetic(spec, out_dir):
             split_lines.append(f"{name} {tag}")
             cam_id += 1
 
-    per_period = []
+    points = []  # period by period, so that the RNG order stays fixed
     for t in range(spec.T):
-        pts = []
         for p in spec.primitives:
             if t in p.lifespan:
                 sigma = float(np.mean(p.scale))
-                pts.append(p.mean + sigma * rng.normal(size=(spec.points_per_primitive, 3)))
-        per_period.append(np.concatenate(pts, axis=0))
+                points.append(p.mean + sigma * rng.normal(size=(spec.points_per_primitive, 3)))
+    points = np.concatenate(points, axis=0)
 
-    write_colmap(out_dir, cameras, np.concatenate(per_period, axis=0))
-    for t in range(spec.T):
-        write_points(os.path.join(out_dir, f"points3D_{t}.txt"), per_period[t])
+    write_colmap(out_dir, cameras, points)
     with open(os.path.join(out_dir, "periods.txt"), "w") as f:
         f.write("\n".join(period_lines) + "\n")
     with open(os.path.join(out_dir, "split.txt"), "w") as f:
         f.write("\n".join(split_lines) + "\n")
 
     return MultiPeriodDataset(cameras=cameras, images=images,
-                              per_period_points=per_period, split=split, T=spec.T)
+                              points=points, split=split, T=spec.T)

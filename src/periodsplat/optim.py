@@ -143,7 +143,6 @@ class LossReport:
     total: float
     l1: float
     ssim: float
-    lam: float
 
 
 def hybrid_loss(pred, gt, lam):
@@ -156,11 +155,11 @@ def hybrid_loss(pred, gt, lam):
         raise OutOfRange(f"lambda {lam} outside [0, 1]")
     l1_value, l1_grad = l1_loss(pred, gt)
     if lam == 1.0:
-        return LossReport(total=l1_value, l1=l1_value, ssim=1.0, lam=lam), l1_grad
+        return LossReport(total=l1_value, l1=l1_value, ssim=1.0), l1_grad
     ssim_value, ssim_grad = ssim(pred, gt)
     total = lam * l1_value + (1.0 - lam) * (1.0 - ssim_value)
     grad = lam * l1_grad - (1.0 - lam) * ssim_grad
-    return LossReport(total=total, l1=l1_value, ssim=ssim_value, lam=lam), grad
+    return LossReport(total=total, l1=l1_value, ssim=ssim_value), grad
 
 
 @dataclass

@@ -106,7 +106,7 @@ def voxelize(points, voxel_size):
     (box_min, cells)."""
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
-        raise EmptyPointCloud("voxelize needs at least one point")
+        raise EmptyPointCloud("no sparse points to build anchors from")
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
     box_min = points.min(axis=0)
@@ -115,9 +115,10 @@ def voxelize(points, voxel_size):
 
 
 def voxel_size_for_points(points, fraction):
-    """Cell size as a fraction of the point bounding-box diagonal."""
+    """Cell size as a fraction of the point bounding-box diagonal, taken as
+    1 for a single point or none (voxelize refuses an empty cloud)."""
     points = np.asarray(points, dtype=np.float64)
-    diag = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0)))
+    diag = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0))) if points.size else 0.0
     if diag == 0.0:
         diag = 1.0
     return fraction * diag
@@ -137,13 +138,11 @@ def _fresh_rows(cells, voxel_size, box_min, *, T, d_b, d_v, K):
     )
 
 
-def init_scaffold(per_period_points, voxel_size, *, d_b, d_v, K):
-    """Build the scaffold from the union of all periods' sparse points:
-    one fresh anchor per occupied voxel cell. T is the number of per-period
-    point lists."""
-    points = [np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in per_period_points]
-    box_min, cells = voxelize(np.concatenate(points), voxel_size)
-    rows = _fresh_rows(cells, voxel_size, box_min, T=len(points), d_b=d_b, d_v=d_v, K=K)
+def init_scaffold(points, voxel_size, *, T, d_b, d_v, K):
+    """Build the scaffold for T periods from the union of all periods'
+    sparse points: one fresh anchor per occupied voxel cell."""
+    box_min, cells = voxelize(points, voxel_size)
+    rows = _fresh_rows(cells, voxel_size, box_min, T=T, d_b=d_b, d_v=d_v, K=K)
     return AnchorScaffold(**rows, voxel_size=voxel_size, box_min=box_min)
 
 

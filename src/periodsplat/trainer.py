@@ -72,9 +72,11 @@ class TrainConfig:
         if min(self.d_b, self.d_v, self.d_g, self.d_f, self.K) < 1:
             raise ConfigInvalid("feature dimensions and K must be positive")
         if not (0 <= self.densify_start <= self.densify_end <= self.total_iters):
-            raise ConfigInvalid("need 0 <= densify_start <= densify_end <= total_iters")
+            raise ConfigInvalid(f"need 0 <= densify_start={self.densify_start} <= densify_end="
+                                f"{self.densify_end} <= total_iters={self.total_iters}")
         if not (0 <= self.stats_start <= self.densify_start):
-            raise ConfigInvalid("need 0 <= stats_start <= densify_start")
+            raise ConfigInvalid(f"need 0 <= stats_start={self.stats_start} <= "
+                                f"densify_start={self.densify_start}")
         if self.densify_interval < 1:
             raise ConfigInvalid("densify_interval must be positive")
         if not (0.0 <= self.loss_lambda <= 1.0):
@@ -238,9 +240,8 @@ def init_state(config, dataset):
     if min(per_period_images) == 0:
         raise EmptyDataset("every period needs at least one image")
 
-    union = dataset.union_points()
-    voxel = voxel_size_for_points(union, config.voxel_fraction)
-    scaffold = init_scaffold(dataset.per_period_points, voxel,
+    voxel = voxel_size_for_points(dataset.points, config.voxel_fraction)
+    scaffold = init_scaffold(dataset.points, voxel, T=dataset.T,
                              d_b=config.d_b, d_v=config.d_v, K=config.K)
 
     centers = np.stack([cam.center() for cam in dataset.cameras])

@@ -153,6 +153,24 @@ def test_render_camera_id_needs_data(workspace, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,extra", [("render", ["--time", "0.5"]),
+                                           ("interp", ["--steps", "2"])])
+def test_camera_id_resolves_from_colmap_files_alone(workspace, tmp_path, command, extra):
+    """A camera id resolves through the COLMAP files: a copy of the dataset
+    without images/ and manifests gives the same bytes."""
+    _, _, data_dir, ckpt, _ = workspace
+    bare = tmp_path / "bare"
+    shutil.copytree(data_dir, bare,
+                    ignore=shutil.ignore_patterns("images", "periods.txt", "split.txt"))
+    written = []
+    for data in (data_dir, bare):
+        out = tmp_path / f"{command}-{data.name}"
+        assert cli.main([command, "--ckpt", str(ckpt), "--camera", "2", "--out", str(out),
+                         "--data", str(data), *extra]) == 0
+        written.append(out.read_bytes() if out.is_file() else tree_digest(out))
+    assert written[0] == written[1]
+
+
 def test_render_pose_file(workspace, tmp_path):
     _, _, _, ckpt, _ = workspace
     pose = tmp_path / "pose.json"
@@ -197,9 +215,12 @@ def _set_fields(path, line, fields, values):
 
 
 def _no_points(data):
-    for sidecar in data.glob("points3D_*.txt"):
-        sidecar.unlink()
     (data / "points3D.txt").write_text("# 3D point list\n")
+
+
+def _append(path, line):
+    with open(path, "a") as f:
+        f.write(line + "\n")
 
 
 def _bad_spec(edit):
@@ -251,13 +272,20 @@ _BAD_SETS = ["voxel_fraction=nan", "voxel_fraction=inf", "opacity_bias=nan", "ta
      "cameras.txt:2"),
     (_bad_data(lambda d: _set_fields(d / "images.txt", 2, slice(1, 5), ["0"] * 4)), 3,
      "images.txt:2"),
-    (_bad_data(lambda d: _set_fields(d / "points3D_0.txt", 2, slice(1, 2), ["nan"])), 3,
-     "points3D_0.txt:2"),
+    (_bad_data(lambda d: _set_fields(d / "points3D.txt", 2, slice(1, 2), ["nan"])), 3,
+     "points3D.txt:2"),
     (_bad_data(_no_points), 3, "no sparse points"),
+    (_bad_data(lambda d: _set_fields(d / "images.txt", 4, slice(0, 1), ["1"])), 3,
+     "images.txt:4"),
+    (_bad_data(lambda d: _set_fields(d / "images.txt", 4, slice(9, 10), ["t0_cam000.ppm"])), 3,
+     "images.txt:4"),
+    (_bad_data(lambda d: _append(d / "periods.txt", "t0_cam000.ppm 1")), 3, "periods.txt:17"),
+    (_bad_data(lambda d: _append(d / "split.txt", "t0_cam000.ppm test")), 3, "split.txt:17"),
     *((_bad_set(item), 2, item.partition("=")[0]) for item in _BAD_SETS),
 ], ids=["opacity", "scale", "width", "orbit-on-target", "points-negative", "width-fraction",
         "no-cameras", "seed-negative", "fx-zero", "fx-nan", "quat-zero", "point-nan",
-        "no-points", *(f"set-{item}" for item in _BAD_SETS)])
+        "no-points", "image-id-repeated", "image-name-repeated", "period-repeated",
+        "split-repeated", *(f"set-{item}" for item in _BAD_SETS)])
 def test_non_finite_or_out_of_range_input_exit_code(workspace, tmp_path, make_argv, code,
                                                     named):
     """Out-of-range and non-finite values in a scene spec or a training

@@ -136,28 +136,57 @@ def test_colmap_round_trip(tmp_path, rng):
 
 
 # ---------------------------------------------------------------------------
-# periods manifest
+# periods.txt and split.txt manifests
 
-def test_load_periods_basic(tmp_path):
-    path = tmp_path / "periods.txt"
-    path.write_text("# comment\na.png 0\n\nb.png 1\n")
-    assert dataio.load_periods(path) == {"a.png": 0, "b.png": 1}
+MANIFESTS = {"periods.txt": "# comment\nimg0.ppm 0\n\nimg1.ppm 1\n",
+             "split.txt": "img0.ppm train\nimg1.ppm test\n"}
 
 
-def test_load_periods_non_contiguous(tmp_path):
-    path = tmp_path / "periods.txt"
-    path.write_text("a.png 0\nb.png 2\n")
-    with pytest.raises(NonContiguousPeriods):
-        dataio.load_periods(path)
-
-
-def test_load_periods_unknown_image(tmp_path):
+def write_two_views(tmp_path):
+    """A two-image dataset (camera ids 7 and 8) with both manifests."""
     write_minimal(tmp_path)
+    with open(tmp_path / "images.txt", "a") as f:
+        f.write("8 1 0 0 0 0 0 3 1 img1.ppm\n\n")
     os.makedirs(tmp_path / "images", exist_ok=True)
-    dataio.write_ppm(tmp_path / "images" / "img0.ppm", np.zeros((48, 64, 3)))
-    (tmp_path / "periods.txt").write_text("img0.ppm 0\nghost.ppm 1\n")
-    with pytest.raises(UnknownImage):
+    for name in ("img0.ppm", "img1.ppm"):
+        dataio.write_ppm(tmp_path / "images" / name, np.zeros((48, 64, 3)))
+    for name, text in MANIFESTS.items():
+        (tmp_path / name).write_text(text)
+
+
+def test_manifests_map_images_to_values(tmp_path):
+    write_two_views(tmp_path)
+    ds = dataio.load_dataset(tmp_path)
+    assert ds.T == 2 and [c.period for c in ds.cameras] == [0, 1]
+    assert ds.split == {7: "train", 8: "test"}
+
+
+@pytest.mark.parametrize("manifest,text,error,line", [
+    ("periods.txt", "img0.ppm 0\nimg1.ppm 1\nghost.ppm 1\n", UnknownImage, None),
+    ("split.txt", "img0.ppm train\nimg1.ppm test\nghost.ppm test\n", UnknownImage, None),
+    ("periods.txt", "img0.ppm 0\n", ParseError, None),
+    ("split.txt", "img0.ppm train\n", ParseError, None),
+    ("periods.txt", "img0.ppm 0\nimg1.ppm one\n", ParseError, 2),
+    ("split.txt", "img0.ppm train\nimg1.ppm val\n", ParseError, 2),
+    ("periods.txt", "img0.ppm 0\nimg1.ppm 1 2\n", ParseError, 2),
+    ("split.txt", "img0.ppm train\n\nimg1.ppm\n", ParseError, 3),
+    ("periods.txt", "img0.ppm 0\nimg1.ppm 1\nimg0.ppm 1\n", ParseError, 3),
+    ("split.txt", "img0.ppm train\nimg1.ppm test\nimg0.ppm test\n", ParseError, 3),
+    ("periods.txt", "img0.ppm 0\nimg1.ppm 2\n", NonContiguousPeriods, None),
+], ids=["periods-unknown-image", "split-unknown-image", "periods-no-line", "split-no-line",
+        "periods-bad-value", "split-bad-value", "periods-three-columns", "split-one-column",
+        "periods-repeated", "split-repeated", "periods-non-contiguous"])
+def test_manifest_faults(tmp_path, manifest, text, error, line):
+    """Both manifests name known images, each exactly once, with a valid
+    value; a ParseError names the file, and the line where there is one."""
+    write_two_views(tmp_path)
+    (tmp_path / manifest).write_text(text)
+    with pytest.raises(error) as err:
         dataio.load_dataset(tmp_path)
+    if error is ParseError:
+        assert (err.value.path, err.value.line) == (str(tmp_path / manifest), line)
+        if line is None:
+            assert "'img1.ppm' has no entry" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +276,7 @@ def test_generate_load_round_trip(tmp_path):
     assert back.split == ds.split
     for cid, img in ds.images.items():
         assert np.abs(back.images[cid] - img).max() <= 1.0 / 510 + 1e-12
-    for a, b in zip(ds.per_period_points, back.per_period_points):
-        np.testing.assert_allclose(a, b, atol=1e-9)
+    np.testing.assert_allclose(back.points, ds.points, atol=1e-9)
 
 
 def test_loaded_images_keep_their_8_bit_pixels(tmp_path):
@@ -268,7 +296,7 @@ def test_loaded_images_keep_their_8_bit_pixels(tmp_path):
 
 def test_short_period_point_line_names_path_and_line(tmp_path):
     dataio.generate_synthetic(single_blob_spec(T=2), tmp_path / "ds")
-    path = os.path.join(tmp_path / "ds", "points3D_1.txt")
+    path = os.path.join(tmp_path / "ds", "points3D.txt")
     with open(path, "a") as f:
         f.write("99 0.5 0.25\n")
     with open(path) as f:
@@ -284,10 +312,19 @@ def test_generate_anchor_count_vs_primitives(tmp_path):
     from periodsplat.scaffold import init_scaffold, voxel_size_for_points
     spec = single_blob_spec(T=2, lifespan={1})
     ds = dataio.generate_synthetic(spec, tmp_path / "ds")
-    union = ds.union_points()
-    voxel = voxel_size_for_points(union, 0.05)
-    s = init_scaffold(ds.per_period_points, voxel, d_b=4, d_v=4, K=2)
+    voxel = voxel_size_for_points(ds.points, 0.05)
+    s = init_scaffold(ds.points, voxel, T=2, d_b=4, d_v=4, K=2)
     assert len(s) >= len(spec.primitives)
+
+
+def test_per_period_point_files_are_ignored(tmp_path):
+    """The generator writes one points3D.txt, and the loader reads only that
+    file: a malformed per-period point list beside it changes nothing."""
+    ds = dataio.generate_synthetic(single_blob_spec(T=2), tmp_path / "ds")
+    assert sorted(p.name for p in (tmp_path / "ds").glob("points3D*")) == ["points3D.txt"]
+    (tmp_path / "ds" / "points3D_1.txt").write_text("1 0.5 0.25\n")
+    back = dataio.load_dataset(tmp_path / "ds")
+    np.testing.assert_array_equal(back.points, ds.points)
 
 
 def test_spec_validation():

@@ -59,3 +59,18 @@ def test_every_method_is_read():
                            for other in TREES.values() for node in ast.walk(other)):
                     unread.append(f"{module}:{cls.name}.{method.name}")
     assert unread == []
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a package dataclass is read as an attribute somewhere
+    in the package, so no record carries a value that nothing uses."""
+    read = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in sorted(TREES.items()):
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            if not any(ast.unparse(d).startswith("dataclass") for d in cls.decorator_list):
+                continue
+            unread += [f"{module}:{cls.name}.{item.target.id}" for item in cls.body
+                       if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+    assert unread == []

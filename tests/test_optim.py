@@ -109,12 +109,12 @@ def test_hybrid_lambda_one_equals_l1(rng):
 def test_hybrid_recombination(rng):
     a = rng.uniform(0, 1, size=(14, 14, 3))
     b = rng.uniform(0, 1, size=(14, 14, 3))
-    report, _ = optim.hybrid_loss(a, b, 0.8)
+    lam = 0.8
+    report, _ = optim.hybrid_loss(a, b, lam)
     l1v, _ = optim.l1_loss(a, b)
     sv, _ = optim.ssim(a, b)
     assert abs(report.total - (0.8 * l1v + 0.2 * (1 - sv))) < 1e-14
-    assert abs(report.total - (report.lam * report.l1
-                               + (1 - report.lam) * (1 - report.ssim))) < 1e-14
+    assert abs(report.total - (lam * report.l1 + (1 - lam) * (1 - report.ssim))) < 1e-14
 
 
 def test_hybrid_lambda_out_of_range(rng):

@@ -10,8 +10,8 @@ from conftest import identity_camera
 from oracles import frustum_test
 
 
-def make_scaffold(points_lists, voxel=0.5, d_b=4, d_v=4, K=3):
-    return sc.init_scaffold(points_lists, voxel, d_b=d_b, d_v=d_v, K=K)
+def make_scaffold(points, voxel=0.5, T=1, d_b=4, d_v=4, K=3):
+    return sc.init_scaffold(points, voxel, T=T, d_b=d_b, d_v=d_v, K=K)
 
 
 def voxel_centers(points, voxel):
@@ -58,24 +58,24 @@ def test_voxelize_deterministic_order(rng):
 
 def test_init_union_idempotent(rng):
     pts = rng.uniform(0, 2, size=(50, 3))
-    one = make_scaffold([pts])
-    two = make_scaffold([pts, pts.copy()])
-    assert len(one) == len(two)
+    one = make_scaffold(pts)
+    two = make_scaffold(np.concatenate([pts, pts]), T=2)
+    assert len(one) == len(two) and (one.T, two.T) == (1, 2)
     np.testing.assert_array_equal(one.positions, two.positions)
 
 
 def test_init_disjoint_clouds_sum():
     a = np.array([[0.1, 0.1, 0.1]])
     b = np.array([[5.1, 5.1, 5.1]])
-    s = make_scaffold([a, b], voxel=1.0)
+    s = make_scaffold(np.concatenate([a, b]), voxel=1.0, T=2)
     assert len(s) == 2
 
 
 def test_init_union_oracle(rng):
     a = rng.uniform(0, 3, size=(80, 3))
     b = rng.uniform(1, 4, size=(80, 3))
-    s = make_scaffold([a, b], voxel=0.7)
     union = np.concatenate([a, b])
+    s = make_scaffold(union, voxel=0.7, T=2)
     box_min = union.min(axis=0)
     expected = {tuple(c) for c in np.floor((union - box_min) / 0.7).astype(int)}
     assert len(s) == len(expected)
@@ -84,7 +84,7 @@ def test_init_union_oracle(rng):
 
 
 def test_init_zero_features_and_scale_init(rng):
-    s = make_scaffold([rng.uniform(0, 1, size=(20, 3))], voxel=0.3)
+    s = make_scaffold(rng.uniform(0, 1, size=(20, 3)), voxel=0.3)
     assert not s.f_base.any() and not s.f_var.any() and not s.offsets.any()
     np.testing.assert_array_equal(s.offset_scale, 0.3)
     np.testing.assert_array_equal(s.shape_scale, 0.3)
@@ -92,12 +92,12 @@ def test_init_zero_features_and_scale_init(rng):
 
 def test_init_all_empty_raises():
     with pytest.raises(EmptyPointCloud):
-        make_scaffold([np.zeros((0, 3)), np.zeros((0, 3))])
+        make_scaffold(np.zeros((0, 3)), T=2)
 
 
 def test_visible_anchors_basics():
     cam = identity_camera(z_offset=2.0)
-    s = make_scaffold([np.array([[0.0, 0.0, 0.1], [0.0, 0.0, -8.0]])], voxel=0.4)
+    s = make_scaffold(np.array([[0.0, 0.0, 0.1], [0.0, 0.0, -8.0]]), voxel=0.4)
     vis = sc.visible_anchors(s, cam)
     in_front = [i for i in range(len(s)) if s.positions[i][2] > -1.0]
     assert list(vis) == in_front
@@ -105,7 +105,7 @@ def test_visible_anchors_basics():
 
 def test_visible_anchors_matches_brute_force(rng):
     cam = identity_camera(width=32, height=24, fx=30.0, fy=28.0, z_offset=3.0)
-    s = make_scaffold([rng.normal(size=(120, 3)) * 2.0], voxel=0.3)
+    s = make_scaffold(rng.normal(size=(120, 3)) * 2.0, voxel=0.3)
     vis = set(sc.visible_anchors(s, cam).tolist())
     brute = {i for i in range(len(s)) if frustum_test(cam, s.positions[i])}
     assert vis == brute
@@ -131,7 +131,7 @@ class FakeGrads:
 
 
 def test_accumulate_stats_zero_grads(rng):
-    s = make_scaffold([rng.uniform(0, 1, size=(10, 3))], voxel=0.2, K=3)
+    s = make_scaffold(rng.uniform(0, 1, size=(10, 3)), voxel=0.2, K=3)
     n = len(s)
     graph = FakeGraph([0, 1], [0, 2], [0, 1, 2], [[0.5, 0.1], [-0.2, -0.4], [0.3, 0.0]])
     grads = FakeGrads(np.zeros((2, 2)), np.zeros((n, 4)))
@@ -143,7 +143,7 @@ def test_accumulate_stats_zero_grads(rng):
 
 
 def test_accumulate_stats_three_four_five(rng):
-    s = make_scaffold([rng.uniform(0, 1, size=(10, 3))], voxel=0.2, K=3)
+    s = make_scaffold(rng.uniform(0, 1, size=(10, 3)), voxel=0.2, K=3)
     graph = FakeGraph([2], [1], [2], [[0.9]])
     grads = FakeGrads(np.array([[3.0, 4.0]]), np.zeros((len(s), 4)))
     sc.accumulate_stats(s, graph, grads)
@@ -151,8 +151,8 @@ def test_accumulate_stats_three_four_five(rng):
 
 
 def test_accumulate_stats_additive(rng):
-    s1 = make_scaffold([rng.uniform(0, 1, size=(12, 3))], voxel=0.2, K=2)
-    s2 = make_scaffold([s1.positions.copy()], voxel=0.2, K=2)
+    s1 = make_scaffold(rng.uniform(0, 1, size=(12, 3)), voxel=0.2, K=2)
+    s2 = make_scaffold(s1.positions.copy(), voxel=0.2, K=2)
     n = len(s1)
     views = []
     for _ in range(4):
@@ -174,14 +174,14 @@ def test_accumulate_stats_additive(rng):
 
 
 def test_grow_below_threshold_no_op(rng):
-    s = make_scaffold([rng.uniform(0, 1, size=(10, 3))], voxel=0.2)
+    s = make_scaffold(rng.uniform(0, 1, size=(10, 3)), voxel=0.2)
     s.stats.grad_norm_sum[:] = 1e-6
     s.stats.visible_count[:] = 100
     assert sc.grow_anchors(s, tau_g=2e-4, min_visibility=10) == 0
 
 
 def test_grow_single_hot_slot(rng):
-    s = make_scaffold([np.array([[0.05, 0.05, 0.05]])], voxel=0.1, d_b=4, d_v=4, K=2)
+    s = make_scaffold(np.array([[0.05, 0.05, 0.05]]), voxel=0.1, d_b=4, d_v=4, K=2)
     # aim slot 0's decoded position into an empty cell a few voxels away
     s.offsets[0, 0] = np.array([5.0, 0.0, 0.0])  # offset_scale is 0.1 -> +0.5 world
     s.stats.grad_norm_sum[0, 0] = 1.0
@@ -199,7 +199,7 @@ def test_grow_single_hot_slot(rng):
 
 
 def test_grow_occupied_cell_no_op(rng):
-    s = make_scaffold([np.array([[0.05, 0.05, 0.05]])], voxel=0.1, K=2)
+    s = make_scaffold(np.array([[0.05, 0.05, 0.05]]), voxel=0.1, K=2)
     s.offsets[0, 0] = np.zeros(3)  # decoded position falls in the anchor's own cell
     s.stats.grad_norm_sum[0, 0] = 1.0
     s.stats.visible_count[0, 0] = 50
@@ -207,7 +207,7 @@ def test_grow_occupied_cell_no_op(rng):
 
 
 def test_grow_never_mutates_existing(rng):
-    s = make_scaffold([rng.uniform(0, 1, size=(15, 3))], voxel=0.2, K=2)
+    s = make_scaffold(rng.uniform(0, 1, size=(15, 3)), voxel=0.2, K=2)
     n = len(s)
     s.offsets[:] = rng.normal(size=s.offsets.shape) * 4
     positions = s.positions.copy()
@@ -220,21 +220,21 @@ def test_grow_never_mutates_existing(rng):
 
 
 def test_prune_above_threshold_no_removal(rng):
-    s = make_scaffold([rng.uniform(0, 1, size=(8, 3))], voxel=0.2)
+    s = make_scaffold(rng.uniform(0, 1, size=(8, 3)), voxel=0.2)
     s.stats.opacity_sum[:] = 10.0
     s.stats.sample_count[:] = 20
     assert sc.apply_keep_mask(s, sc.prune_keep_mask(s, min_opacity=0.005, min_samples=10)) == 0
 
 
 def test_prune_insufficient_evidence_retained(rng):
-    s = make_scaffold([rng.uniform(0, 1, size=(8, 3))], voxel=0.2)
+    s = make_scaffold(rng.uniform(0, 1, size=(8, 3)), voxel=0.2)
     s.stats.opacity_sum[:] = 0.0
     s.stats.sample_count[:] = 3  # below min_samples
     assert sc.apply_keep_mask(s, sc.prune_keep_mask(s, min_opacity=0.005, min_samples=10)) == 0
 
 
 def test_prune_removes_transparent_anchor(rng):
-    s = make_scaffold([rng.uniform(0, 2, size=(30, 3))], voxel=0.3)
+    s = make_scaffold(rng.uniform(0, 2, size=(30, 3)), voxel=0.3)
     n = len(s)
     s.stats.sample_count[:] = 40
     s.stats.opacity_sum[:] = 40 * 0.5
@@ -246,7 +246,7 @@ def test_prune_removes_transparent_anchor(rng):
 
 
 def test_voxel_uniqueness_after_grow_prune(rng):
-    s = make_scaffold([rng.uniform(0, 1.5, size=(40, 3))], voxel=0.25, K=3)
+    s = make_scaffold(rng.uniform(0, 1.5, size=(40, 3)), voxel=0.25, K=3)
     for round_ in range(3):
         s.offsets[:] = rng.normal(size=s.offsets.shape) * 3
         s.stats.grad_norm_sum[:] = rng.uniform(0, 1e-3, size=s.stats.grad_norm_sum.shape)
@@ -262,7 +262,7 @@ def test_voxel_uniqueness_after_grow_prune(rng):
 def test_grow_prune_deterministic(rng):
     def build(seed):
         r = np.random.default_rng(seed)
-        s = make_scaffold([r.uniform(0, 1.5, size=(40, 3))], voxel=0.25, K=3)
+        s = make_scaffold(r.uniform(0, 1.5, size=(40, 3)), voxel=0.25, K=3)
         s.offsets[:] = r.normal(size=s.offsets.shape) * 3
         s.stats.grad_norm_sum[:] = r.uniform(0, 1e-3, size=s.stats.grad_norm_sum.shape)
         s.stats.visible_count[:] = 60

@@ -48,8 +48,17 @@ def tiny_config(**over):
 # config
 
 def test_config_validation():
-    with pytest.raises(ConfigInvalid):
+    """The window checks name each value, so that a shortened run shows which
+    keys to override."""
+    with pytest.raises(ConfigInvalid) as err:
         tr.TrainConfig(total_iters=100, densify_start=50, densify_end=200).validate()
+    assert "densify_start=50 <= densify_end=200 <= total_iters=100" in str(err.value)
+    with pytest.raises(ConfigInvalid) as err:
+        tr.TrainConfig.desk_preset(total_iters=40)
+    assert "densify_start=300 <= densify_end=2500 <= total_iters=40" in str(err.value)
+    with pytest.raises(ConfigInvalid) as err:
+        tr.TrainConfig(stats_start=60, densify_start=50).validate()
+    assert "stats_start=60 <= densify_start=50" in str(err.value)
     with pytest.raises(ConfigInvalid):
         tr.TrainConfig(loss_lambda=1.5).validate()
     tr.TrainConfig().validate()
