@@ -133,8 +133,8 @@ def _resolve_camera(spec, data_dir):
     if cam_id is not None:
         if not data_dir:
             raise _UsageError("--camera <id> needs --data to resolve against")
-        from .dataio import parse_colmap
-        for cam in parse_colmap(data_dir)[0]:
+        from .dataio import read_cameras
+        for cam in read_cameras(data_dir):
             if cam.id == cam_id:
                 return cam
         raise _UsageError(f"camera id {cam_id} not in dataset")

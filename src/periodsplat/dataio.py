@@ -10,12 +10,15 @@ On-disk dataset layout (COLMAP text convention plus two manifests):
       split.txt              optional "image_name train|test" per line
       images/<image_name>    PPM (P6) image files
 
-Each manifest (periods.txt, split.txt) lists every image exactly once.
-Without split.txt, even positions in images.txt order train and odd ones
-test. Other files, per-period point lists included, are ignored: the
-scaffold reads only the union of all periods' points. Ground-truth images
-from the synthetic generator are rendered with this package's own
-rasterizer, so a trained model can reach them exactly.
+A PPM header is "P6" and unsigned decimal width, height and maxval 255,
+separated by whitespace or "#" comments. read_cameras reads the cameras
+from the first two files alone. Each manifest (periods.txt, split.txt)
+lists every image exactly once. Without split.txt, even positions in
+images.txt order train and odd ones test. Other files, per-period point
+lists included, are ignored: the scaffold reads only the union of all
+periods' points. Ground-truth images from the synthetic generator are
+rendered with this package's own rasterizer, so a trained model can reach
+them exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import math
 import numbers
 import os
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
@@ -40,6 +44,11 @@ FLOAT_FMT = "%.17g"
 # ---------------------------------------------------------------------------
 # PPM (P6, maxval 255)
 
+# "P6", then width, height and maxval as unsigned decimals of at most nine digits, each
+# after whitespace or "#" comments to the end of a line, then one whitespace byte.
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*\n)+(\d{1,9})" * 3 + rb"\s")
+
+
 def read_ppm(path, raw=False):
     """Read a binary PPM into an (H, W, 3) float array in [0, 1], or with
     raw=True into its uint8 pixels."""
@@ -48,40 +57,16 @@ def read_ppm(path, raw=False):
             data = f.read()
     except OSError as exc:
         raise IoError(str(exc)) from exc
-
-    # Header: magic, width, height, maxval separated by whitespace/comments.
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        if pos >= len(data):
-            raise ParseError("truncated PPM header", path=path)
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            pos = data.find(b"\n", pos)
-            if pos < 0:
-                raise ParseError("unterminated comment in PPM header", path=path)
-            pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end:end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    pos += 1  # single whitespace after maxval
-    if tokens[0] != b"P6":
-        raise ParseError(f"expected P6 magic, got {tokens[0]!r}", path=path)
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise ParseError(f"bad PPM header: {exc}", path=path) from exc
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise ParseError("not a P6 header of three decimal fields", path=path)
+    width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise ParseError(f"only maxval 255 is supported, got {maxval}", path=path)
     need = width * height * 3
-    if len(data) - pos < need:
+    if len(data) - header.end() < need:
         raise ParseError("truncated PPM pixel data", path=path)
-    pixels = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos).reshape(height, width, 3)
+    pixels = np.frombuffer(data, np.uint8, need, header.end()).reshape(height, width, 3)
     return pixels if raw else _unit_float(pixels)
 
 
@@ -119,18 +104,23 @@ def _data_lines(path):
 
 def _require(path):
     if not os.path.isfile(path):
-        raise MissingFile(path)
+        raise MissingFile(f"{path} is missing")
     return path
 
 
 def parse_colmap(directory):
     """Parse cameras.txt + images.txt + points3D.txt into per-image cameras
-    and an (N, 3) point array. 2D observation lines and unknown trailing
-    columns are ignored; periods are filled in separately. A value that no
-    Camera accepts is a ParseError at its line."""
+    and an (N, 3) point array; the inverse of write_colmap."""
+    return read_cameras(directory), read_points(_require(os.path.join(directory, "points3D.txt")))
+
+
+def read_cameras(directory):
+    """Per-image cameras from cameras.txt + images.txt, sorted by image id.
+    2D observation lines and unknown trailing columns are ignored; periods
+    are filled in separately. A value that no Camera accepts is a ParseError
+    at its line."""
     cam_path = _require(os.path.join(directory, "cameras.txt"))
     img_path = _require(os.path.join(directory, "images.txt"))
-    pts_path = _require(os.path.join(directory, "points3D.txt"))
 
     intrinsics = {}
     for ln, line in _data_lines(cam_path):
@@ -200,7 +190,7 @@ def parse_colmap(directory):
         expect_pose = False
 
     cameras.sort(key=lambda c: c.id)
-    return cameras, read_points(pts_path)
+    return cameras
 
 
 def read_points(path):
@@ -490,8 +480,6 @@ def generate_synthetic(spec, out_dir):
     cameras = []
     images = {}
     split = {}
-    period_lines = []
-    split_lines = []
     cam_id = 1
     for t in range(spec.T):
         truth = ground_truth_gaussians(spec, t)
@@ -521,8 +509,6 @@ def generate_synthetic(spec, out_dir):
             cameras.append(cam)
             images[cam_id] = image
             split[cam_id] = tag
-            period_lines.append(f"{name} {t}")
-            split_lines.append(f"{name} {tag}")
             cam_id += 1
 
     points = []  # period by period, so that the RNG order stays fixed
@@ -535,9 +521,9 @@ def generate_synthetic(spec, out_dir):
 
     write_colmap(out_dir, cameras, points)
     with open(os.path.join(out_dir, "periods.txt"), "w") as f:
-        f.write("\n".join(period_lines) + "\n")
+        f.writelines(f"{cam.image_name} {cam.period}\n" for cam in cameras)
     with open(os.path.join(out_dir, "split.txt"), "w") as f:
-        f.write("\n".join(split_lines) + "\n")
+        f.writelines(f"{cam.image_name} {split[cam.id]}\n" for cam in cameras)
 
     return MultiPeriodDataset(cameras=cameras, images=images,
                               points=points, split=split, T=spec.T)

@@ -369,15 +369,13 @@ def render_gaussians(gaussians, camera, background=(0.0, 0.0, 0.0), use_threshol
     """
     m = len(gaussians)
     background = np.asarray(background, dtype=np.float64)
-    if m == 0:
-        return np.broadcast_to(background, (camera.height, camera.width, 3)).copy()
     splats = _project_and_cull(
         camera,
-        np.stack([g.mean for g in gaussians]),
-        np.stack([geom.quat_normalize(g.rotation) for g in gaussians]),
-        np.stack([g.scale for g in gaussians]),
+        np.array([g.mean for g in gaussians]).reshape(m, 3),
+        np.array([geom.quat_normalize(g.rotation) for g in gaussians]).reshape(m, 4),
+        np.array([g.scale for g in gaussians]).reshape(m, 3),
         np.array([g.opacity for g in gaussians], dtype=np.float64),
-        np.stack([g.color for g in gaussians]),
+        np.array([g.color for g in gaussians]).reshape(m, 3),
         np.arange(m, dtype=np.int64), np.zeros(m, dtype=np.int64),
         use_thresholds,
     )

@@ -427,8 +427,38 @@ def _decode_tensor(payload):
     if len(payload) - offset != math.prod(shape) * dtype.itemsize:
         raise CorruptChecksum(f"tensor payload of {len(payload) - offset} bytes "
                               f"does not hold shape {shape}")
-    arr = np.frombuffer(payload, dtype=dtype, offset=offset).reshape(shape)
+    try:  # numpy refuses more than 64 axes, and an empty array's huge ones
+        arr = np.frombuffer(payload, dtype=dtype, offset=offset).reshape(shape)
+    except ValueError as exc:
+        raise CorruptChecksum(f"tensor shape {shape}: {exc}") from exc
     return arr.astype(dtype.newbyteorder("="))
+
+
+def _parameter_shapes(config, T, n):
+    """Shape of each parameter section of a checkpoint with this config, T
+    periods and n anchors; ROW_FIELDS lead with one row per anchor."""
+    c = config
+    shapes = {"scaffold.positions": (n, 3), "scaffold.f_base": (n, c.d_b),
+              "scaffold.f_var": (n, T, c.d_v), "scaffold.offsets": (n, c.K, 3),
+              "scaffold.offset_scale": (n, 3), "scaffold.shape_scale": (n, 3),
+              "scaffold.box_min": (3,), "global.g": (T, c.d_g)}
+    in_dim = c.d_b + c.d_v + c.d_g + 3
+    for head, out in (("opacity", c.K), ("color", 3 * c.K), ("covariance", 7 * c.K)):
+        shapes.update({f"decoder.{head}.W1": (c.d_f, in_dim), f"decoder.{head}.b1": (c.d_f,),
+                       f"decoder.{head}.W2": (out, c.d_f), f"decoder.{head}.b2": (out,)})
+    return shapes
+
+
+def _int_in(low, high):
+    return lambda v: type(v) is int and low <= v < high
+
+
+def _positive(v):
+    return type(v) in (int, float) and 0 < v < math.inf
+
+
+def _u128_text(v):
+    return type(v) is str and v.isascii() and v.isdigit() and len(v) <= 39 and int(v) < 2**128
 
 
 def _checkpoint_sections(state):
@@ -520,7 +550,7 @@ def _read_sections(path):
             pos += 8
             sections[name] = body[pos:pos + payload_len]
             pos += payload_len
-        except struct.error as exc:
+        except (struct.error, UnicodeDecodeError) as exc:
             raise CorruptChecksum(f"malformed section table: {exc}") from exc
     return sections
 
@@ -528,8 +558,10 @@ def _read_sections(path):
 def load_checkpoint(path):
     """Rebuild a TrainState from a checkpoint file.
 
-    A CRC-valid file that lacks a section or holds a malformed one raises
-    CorruptChecksum, like a file that fails its CRC.
+    A CRC-valid file that lacks a section, holds a malformed one, or holds a
+    meta or rng value of the wrong type or range or a tensor of another
+    shape or dtype than its config and meta imply raises CorruptChecksum,
+    like a file that fails its CRC.
     """
     sections = _read_sections(path)
 
@@ -539,39 +571,53 @@ def load_checkpoint(path):
         except KeyError:
             raise CorruptChecksum(f"checkpoint has no section {name!r}") from None
 
-    def json_section(name, keys):
+    def json_section(name, checks):
         try:
             record = json.loads(section(name).decode())
-            return {key: record[key] for key in keys}
+            values = {key: record[key] for key in checks}
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptChecksum(f"malformed section {name!r}: {exc!r}") from exc
+        for key, ok in checks.items():
+            if not ok(values[key]):
+                raise CorruptChecksum(f"section {name!r} holds {key}={values[key]!r}")
+        return values
 
-    config = config_from_text(section("config").decode()).validate()
-    meta = json_section("meta", ("T", "iteration", "spatial_lr_scale", "voxel_size"))
+    def tensor(name, shape, dtype):
+        arr = _decode_tensor(section(name))
+        if arr.shape != shape or arr.dtype != dtype:
+            raise CorruptChecksum(f"section {name!r} holds {arr.dtype} {arr.shape}, "
+                                  f"not {np.dtype(dtype)} {shape}")
+        return arr
 
-    def tensor(name):
-        return _decode_tensor(section(name))
-
-    scaffold = AnchorScaffold(**{name: tensor(f"scaffold.{name}") for name in ROW_FIELDS},
-                              voxel_size=meta["voxel_size"],
-                              box_min=tensor("scaffold.box_min"))
-    global_g = tensor("global.g")
-    heads = {}
-    for head_name in ("opacity", "color", "covariance"):
-        heads[head_name] = MlpWeights(*[
-            tensor(f"decoder.{head_name}.{arr_name}") for arr_name in ("W1", "b1", "W2", "b2")])
-    weights = DecoderWeights(**heads)
+    try:
+        config_text = section("config").decode()
+    except UnicodeDecodeError as exc:
+        raise CorruptChecksum(f"malformed section 'config': {exc}") from exc
+    config = config_from_text(config_text).validate()
+    meta = json_section("meta", {"T": _int_in(1, math.inf), "iteration": _int_in(0, math.inf),
+                                 "anchors": _int_in(0, math.inf),
+                                 "spatial_lr_scale": _positive, "voxel_size": _positive})
+    params = {name: tensor(name, shape, np.float64) for name, shape
+              in _parameter_shapes(config, meta["T"], meta["anchors"]).items()}
+    scaffold = AnchorScaffold(**{name: params[f"scaffold.{name}"] for name in ROW_FIELDS},
+                              voxel_size=meta["voxel_size"], box_min=params["scaffold.box_min"])
+    global_g = params["global.g"]
+    weights = DecoderWeights(**{
+        head: MlpWeights(*(params[f"decoder.{head}.{arr}"] for arr in ("W1", "b1", "W2", "b2")))
+        for head in ("opacity", "color", "covariance")})
 
     groups = _build_groups(config, scaffold, global_g, weights, meta["spatial_lr_scale"])
     for name in sorted(groups):
         group = groups[name]
-        for i in range(len(group.params)):
-            group.m[i] = tensor(f"adam.{name}.{i}.m")
-            group.v[i] = tensor(f"adam.{name}.{i}.v")
-            step = tensor(f"adam.{name}.{i}.step")
+        for i, param in enumerate(group.params):
+            group.m[i] = tensor(f"adam.{name}.{i}.m", param.shape, np.float64)
+            group.v[i] = tensor(f"adam.{name}.{i}.v", param.shape, np.float64)
+            step = tensor(f"adam.{name}.{i}.step",
+                          (len(scaffold),) if group.row_state else (), np.int64)
             group.step[i] = step if group.row_state else int(step)
 
-    rng_meta = json_section("rng", ("state", "inc", "has_uint32", "uinteger"))
+    rng_meta = json_section("rng", {"state": _u128_text, "inc": _u128_text,
+                                    "has_uint32": _int_in(0, 2), "uinteger": _int_in(0, 2**32)})
     rng = np.random.Generator(np.random.PCG64(0))
     rng.bit_generator.state = {
         "bit_generator": "PCG64",

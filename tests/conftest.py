@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,37 @@ def _meta_not_json(sections):
     sections["meta"] = b'{"T": 2'
 
 
+def _set_tensor(name, edit):
+    """A fault that replaces tensor section `name` by edit(its array)."""
+    def fault(sections):
+        from periodsplat import trainer
+        sections[name] = trainer._encode_tensor(edit(trainer._decode_tensor(sections[name])))
+    return fault
+
+
+def _set_json(section, key, value):
+    """A fault that sets `key` of JSON section `section` to `value`."""
+    def fault(sections):
+        record = json.loads(sections[section])
+        record[key] = value
+        sections[section] = json.dumps(record, sort_keys=True).encode()
+    return fault
+
+
 # CRC-valid checkpoint faults, each of which must read as CorruptChecksum.
-CHECKPOINT_FAULTS = {"missing_section": _drop_global, "unknown_dtype": _unknown_dtype,
-                     "short_payload": _short_payload, "meta_not_json": _meta_not_json}
+CHECKPOINT_FAULTS = {
+    "missing_section": _drop_global, "unknown_dtype": _unknown_dtype,
+    "short_payload": _short_payload, "meta_not_json": _meta_not_json,
+    "f_var_five_rows": _set_tensor("scaffold.f_var", lambda a: a[:5]),
+    "color_W1_ten_columns": _set_tensor("decoder.color.W1", lambda a: a[:, :10]),
+    "adam_step_three_rows": _set_tensor("adam.f_base.0.step", lambda a: np.zeros(3, np.int64)),
+    "adam_moment_transposed": _set_tensor("adam.mlp_color.0.m", lambda a: a.T),
+    "step_as_float": _set_tensor("adam.global_g.0.step", lambda a: a.astype(np.float64)),
+    "meta_T_text": _set_json("meta", "T", "2"),
+    "meta_T_beyond_tensors": _set_json("meta", "T", 3),
+    "meta_voxel_size_text": _set_json("meta", "voxel_size", "x"),
+    "meta_anchors_negative": _set_json("meta", "anchors", -1),
+    "rng_state_not_decimal": _set_json("rng", "state", "abc"),
+    "rng_has_uint32_text": _set_json("rng", "has_uint32", "yes"),
+    "rng_has_uint32_two": _set_json("rng", "has_uint32", 2),
+}

@@ -156,12 +156,13 @@ def test_render_camera_id_needs_data(workspace, tmp_path):
 @pytest.mark.parametrize("command,extra", [("render", ["--time", "0.5"]),
                                            ("interp", ["--steps", "2"])])
 def test_camera_id_resolves_from_colmap_files_alone(workspace, tmp_path, command, extra):
-    """A camera id resolves through the COLMAP files: a copy of the dataset
-    without images/ and manifests gives the same bytes."""
+    """A camera id resolves through cameras.txt and images.txt alone: a copy
+    of the dataset without images/, manifests and points gives the same bytes."""
     _, _, data_dir, ckpt, _ = workspace
     bare = tmp_path / "bare"
     shutil.copytree(data_dir, bare,
-                    ignore=shutil.ignore_patterns("images", "periods.txt", "split.txt"))
+                    ignore=shutil.ignore_patterns("images", "periods.txt", "split.txt",
+                                                  "points3D.txt"))
     written = []
     for data in (data_dir, bare):
         out = tmp_path / f"{command}-{data.name}"
@@ -431,10 +432,15 @@ def test_inspect_corrupted_exit_3(workspace, tmp_path):
 
 @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
 def test_inspect_crc_valid_fault_exit_3(workspace, tmp_path, fault):
-    _, _, _, ckpt, _ = workspace
+    """inspect, render and interp each end a CRC-valid malformed checkpoint
+    in exit 3, never a traceback."""
+    _, _, data_dir, ckpt, _ = workspace
     bad = tmp_path / f"{fault}.ckpt"
     rewrite_checkpoint(ckpt, bad, CHECKPOINT_FAULTS[fault])
-    assert cli.main(["inspect", "--ckpt", str(bad)]) == 3
+    view = ["--camera", "2", "--data", str(data_dir)]
+    for argv in (["inspect"], ["render", *view, "--time", "0.5", "--out", str(tmp_path / "v.ppm")],
+                 ["interp", *view, "--steps", "3", "--out", str(tmp_path / "frames")]):
+        assert cli.main([*argv, "--ckpt", str(bad)]) == 3, argv[0]
 
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodsplat import dataio
 from periodsplat.errors import (NonContiguousPeriods, ParseError, SpecInvalid,
@@ -47,6 +48,61 @@ def test_ppm_truncated(tmp_path):
     path.write_bytes(b"P6\n2 2\n255\n\xff")
     with pytest.raises(ParseError):
         dataio.read_ppm(path)
+
+
+@pytest.mark.parametrize("header", [
+    b"P6\n-64 -64\n255\n", b"P6\n-1 64\n255\n", b"P6\n+1 1\n255\n", b"P6\n1_0 1\n255\n",
+    b"P6\n2 2\n", b"P6\n2 2\n255", b"P6\n2 2 # open comment", b"P6 1 1 255x", b"P6",
+    b"P6\n1234567890 1\n255\n", b"P6\n1 1\n65535\n"], ids=[
+    "signed-both", "signed-width", "plus-sign", "underscore", "no-maxval", "no-byte-after-maxval",
+    "open-comment", "no-space-after-maxval", "magic-only", "ten-digits", "maxval-16-bit"])
+def test_ppm_header_faults_name_the_file(tmp_path, header):
+    """A header that is not P6 and three unsigned decimal fields, or that
+    stops short, is a ParseError naming the file, at the end of the file or
+    before enough pixel bytes for any size it names."""
+    path = tmp_path / "h.ppm"
+    for data in (header, header + bytes(64 * 64 * 3)):
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="h.ppm"):
+            dataio.read_ppm(path)
+
+
+def test_ppm_header_comments_between_fields(tmp_path):
+    """Comments and runs of whitespace may stand between any two fields."""
+    pixels = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
+    path = tmp_path / "c.ppm"
+    path.write_bytes(b"P6# after magic\n3\t# width\n\n2 #\n255\r" + pixels.tobytes())
+    assert dataio.read_ppm(path, raw=True).tobytes() == pixels.tobytes()
+
+
+_SIZE_FIELDS = st.one_of(st.integers(-3, 3).map(lambda n: b"%d" % n),
+                         st.sampled_from([b"+2", b"0x2", b"2.0", b"1_0", b"\xd9\xa3"]))
+_HEADER_GAPS = st.lists(st.sampled_from([b" ", b"\n", b"\t\r", b"# c\n", b" #\n\n"]),
+                        min_size=3, max_size=3)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(magic=st.sampled_from([b"P6", b"P6", b"P5"]), gaps=_HEADER_GAPS,
+       width=_SIZE_FIELDS, height=_SIZE_FIELDS,
+       maxval=st.sampled_from([b"255", b"255", b"+255", b"-255", b"65535"]),
+       end=st.sampled_from([b" ", b"\n", b"\r", b"", b"x"]), tail=st.binary(max_size=40))
+def test_ppm_header_fuzz_loads_or_parse_error(tmp_path_factory, magic, gaps, width, height,
+                                              maxval, end, tail):
+    """A header loads exactly when it is P6, unsigned decimal sizes, maxval
+    255 and one whitespace byte, and enough pixel bytes follow; then it holds
+    the size it names. Any other header is a ParseError."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.ppm"
+    fields = (width, height, maxval)
+    path.write_bytes(magic + b"".join(g + f for g, f in zip(gaps, fields)) + end + tail)
+    well_formed = (magic == b"P6" and maxval == b"255" and end.isspace()
+                   and all(f.isascii() and f.isdigit() for f in (width, height)))
+    if not (well_formed and len(tail) >= int(width) * int(height) * 3):
+        with pytest.raises(ParseError):
+            dataio.read_ppm(path, raw=True)
+        return
+    pixels = dataio.read_ppm(path, raw=True)
+    assert pixels.shape == (int(height), int(width), 3)
+    assert pixels.tobytes() == tail[:pixels.size]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +164,14 @@ def test_parse_error_has_line_number(tmp_path):
 
 
 def test_missing_file(tmp_path):
-    with pytest.raises(MissingFile):
+    """A missing COLMAP file is a MissingFile that says so; read_cameras
+    needs no point file."""
+    with pytest.raises(MissingFile, match="cameras.txt is missing"):
+        dataio.parse_colmap(tmp_path)
+    (tmp_path / "cameras.txt").write_text("1 SIMPLE_PINHOLE 32 32 50 16 16\n")
+    (tmp_path / "images.txt").write_text("1 1 0 0 0 0 0 2 1 a.ppm\n\n")
+    assert [cam.image_name for cam in dataio.read_cameras(tmp_path)] == ["a.ppm"]
+    with pytest.raises(MissingFile, match="points3D.txt is missing"):
         dataio.parse_colmap(tmp_path)
 
 

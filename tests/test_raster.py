@@ -156,6 +156,17 @@ def test_composite_single_capped_splat():
     np.testing.assert_allclose(image[4, 4], 0.99 * color, atol=1e-15)
 
 
+@pytest.mark.parametrize("use_thresholds", [True, False])
+def test_render_no_gaussians_is_background(use_thresholds):
+    """An empty list takes the general path on zero-size arrays and returns
+    the background bitwise, as a writable array of the camera's size."""
+    cam = identity_camera(width=7, height=5)
+    bg = np.array([0.1, 0.7, 0.3])
+    image = raster.render_gaussians([], cam, bg, use_thresholds)
+    assert image.flags.writeable and image.dtype == np.float64
+    assert image.tobytes() == np.tile(bg, (5, 7, 1)).tobytes()
+
+
 def test_composite_two_splats_expansion():
     cam = identity_camera(width=9, height=9)
     c1, c2, bg = np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0])

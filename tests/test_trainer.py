@@ -4,12 +4,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodsplat import trainer as tr
 from periodsplat.dataio import (PrimitiveSpec, SyntheticSceneSpec, generate_synthetic,
                                 look_at_camera)
 from periodsplat.errors import (ConfigInvalid, CorruptChecksum, EmptyDataset,
-                                InternalError, VersionMismatch)
+                                InternalError, PeriodSplatError, VersionMismatch)
 from periodsplat.scaffold import ROW_FIELDS, accumulate_stats, apply_keep_mask
 
 from conftest import CHECKPOINT_FAULTS, rewrite_checkpoint
@@ -462,8 +463,10 @@ def test_checkpoint_with_retired_config_keys(tiny_dataset, tmp_path, capsys):
 
 @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
 def test_checkpoint_crc_valid_faults(tiny_dataset, tmp_path, fault):
-    """A section missing, an unknown dtype code or a payload shorter than its
-    shape, each under a valid CRC, is reported as a corrupt checkpoint."""
+    """A section missing, an unknown dtype code, a payload shorter than its
+    shape, a tensor of another shape or dtype than the config and meta imply,
+    or a meta or rng value of the wrong type or range, each under a valid
+    CRC, is reported as a corrupt checkpoint."""
     _, path = train_briefly(tiny_dataset, tmp_path, iters=0)
     same = tmp_path / "same.ckpt"
     rewrite_checkpoint(path, same, lambda sections: None)
@@ -472,6 +475,40 @@ def test_checkpoint_crc_valid_faults(tiny_dataset, tmp_path, fault):
     rewrite_checkpoint(path, bad, CHECKPOINT_FAULTS[fault])
     with pytest.raises(CorruptChecksum):
         tr.load_checkpoint(bad)
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tiny_dataset, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return train_briefly(tiny_dataset, root, iters=3)[1]
+
+
+_FUZZED_SECTIONS = ("config", "meta", "rng", "scaffold.f_var", "scaffold.box_min", "global.g",
+                    "decoder.color.W1", "adam.f_base.0.m", "adam.f_base.0.step",
+                    "adam.global_g.0.step")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(name=st.sampled_from(_FUZZED_SECTIONS), cut=st.integers(0, 24),
+       edits=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 255)), max_size=4),
+       tail=st.binary(max_size=24))
+def test_checkpoint_section_fuzz_loads_or_package_error(fuzz_checkpoint, name, cut, edits, tail):
+    """One section cut short, with a few of its first 64 bytes overwritten
+    and bytes appended, then re-sealed under a valid CRC, either loads or
+    raises a PeriodSplatError, never another exception."""
+    def mutate(sections):
+        payload = bytearray(sections[name][:max(0, len(sections[name]) - cut)])
+        for pos, value in edits:
+            if pos < len(payload):
+                payload[pos] = value
+        sections[name] = bytes(payload) + tail
+
+    bad = fuzz_checkpoint.with_name("mutated.ckpt")
+    rewrite_checkpoint(fuzz_checkpoint, bad, mutate)
+    try:
+        tr.load_checkpoint(bad)
+    except PeriodSplatError:
+        pass
 
 
 def test_deterministic_training_bitwise(tiny_dataset, tmp_path):
