@@ -184,9 +184,11 @@ def lr_at(schedule, step):
 class ParamGroup:
     """Named set of learnable arrays sharing one schedule and Adam state.
 
-    row_state groups (per-anchor tensors) keep per-row step counts so
-    anchors grown mid-training start their bias correction fresh; their
-    first axis must match across all arrays in the group.
+    Each array's step count is an int64 array: of shape (rows,) in a
+    row_state group (per-anchor tensors), so that anchors grown mid-training
+    start their bias correction fresh, and of shape () otherwise. adam_step
+    takes a whole-array count as a Python float, because numpy's
+    vectorized power rounds some 0.9 ** t differently from Python's.
     """
 
     name: str
@@ -200,10 +202,7 @@ class ParamGroup:
     def __post_init__(self):
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
-        if self.row_state:
-            self.step = [np.zeros(p.shape[0], dtype=np.int64) for p in self.params]
-        else:
-            self.step = [0 for _ in self.params]
+        self.step = [np.zeros(p.shape[:self.row_state], dtype=np.int64) for p in self.params]
 
     def resize_rows(self, param, added, keep):
         """Follow a grow and a prune of the one array of a row_state group:
@@ -233,11 +232,10 @@ def adam_step(group, grads, step):
             raise ShapeMismatch(f"group {group.name}: grad shape {g.shape} != param {p.shape}")
         group.m[i] = ADAM_BETA1 * group.m[i] + (1 - ADAM_BETA1) * g
         group.v[i] = ADAM_BETA2 * group.v[i] + (1 - ADAM_BETA2) * g * g
+        group.step[i] += 1
         if group.row_state:
-            group.step[i] = group.step[i] + 1
             t = group.step[i].astype(np.float64).reshape((-1,) + (1,) * (p.ndim - 1))
         else:
-            group.step[i] += 1
             t = float(group.step[i])
         m_hat = group.m[i] / (1 - ADAM_BETA1 ** t)
         v_hat = group.v[i] / (1 - ADAM_BETA2 ** t)

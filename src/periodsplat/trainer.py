@@ -9,9 +9,12 @@ own integer period, applies the hybrid loss, backpropagates, and steps Adam
 on every parameter group but those of the ablated feature components.
 
 Checkpoints are a single binary file: magic "CGS1", length-prefixed named
-sections, trailing CRC-32, all tensors little-endian with floats widened to
-64 bit. Saving is atomic (write-temp-then-rename) and save -> load -> save
-reproduces the file byte for byte.
+sections (config, meta, rng, then the tensors that _tensors lists once for
+save and load alike), trailing CRC-32, all tensors little-endian with floats
+widened to 64 bit. Saving is atomic (write-temp-then-rename) and
+save -> load -> save reproduces the file byte for byte. Loading refuses a
+malformed or non-finite value, or a config that fails validation, as
+CorruptChecksum.
 
 Reproducibility: the only randomness is a PCG64 generator seeded from the
 config; with a fixed BLAS thread count two runs produce bitwise-identical
@@ -401,7 +404,6 @@ _DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<i8")}
 
 
 def _encode_tensor(arr):
-    arr = np.asarray(arr)
     if arr.dtype.kind == "f":
         code = 0
     elif arr.dtype.kind in "iub":
@@ -461,49 +463,34 @@ def _u128_text(v):
     return type(v) is str and v.isascii() and v.isdigit() and len(v) <= 39 and int(v) < 2**128
 
 
-def _checkpoint_sections(state):
-    cfg = state.config
-    meta = {
-        "T": state.T,
-        "iteration": state.iteration,
-        "anchors": len(state.scaffold),
-        "spatial_lr_scale": state.spatial_lr_scale,
-        "voxel_size": state.scaffold.voxel_size,
-    }
-    rng_state = state.rng.bit_generator.state
-    rng_blob = json.dumps({
-        "state": str(rng_state["state"]["state"]),
-        "inc": str(rng_state["state"]["inc"]),
-        "has_uint32": rng_state["has_uint32"],
-        "uinteger": rng_state["uinteger"],
-    }, sort_keys=True)
-
-    sections = [
-        ("config", config_to_text(cfg).encode()),
-        ("meta", json.dumps(meta, sort_keys=True).encode()),
-        ("rng", rng_blob.encode()),
-        *((f"scaffold.{name}", _encode_tensor(getattr(state.scaffold, name)))
-          for name in ROW_FIELDS),
-        ("scaffold.box_min", _encode_tensor(state.scaffold.box_min)),
-        ("global.g", _encode_tensor(state.global_g)),
-    ]
-    for head_name in ("opacity", "color", "covariance"):
-        head = getattr(state.weights, head_name)
-        for arr_name, arr in zip(("W1", "b1", "W2", "b2"), head.arrays()):
-            sections.append((f"decoder.{head_name}.{arr_name}", _encode_tensor(arr)))
+def _tensors(state):
+    """Yield (section name, array) for each tensor section of state's
+    checkpoint, in file order; the one list that save and load both walk."""
+    for name in ROW_FIELDS:
+        yield f"scaffold.{name}", getattr(state.scaffold, name)
+    yield "scaffold.box_min", state.scaffold.box_min
+    yield "global.g", state.global_g
+    for head in ("opacity", "color", "covariance"):
+        for arr_name, arr in zip(("W1", "b1", "W2", "b2"), getattr(state.weights, head).arrays()):
+            yield f"decoder.{head}.{arr_name}", arr
     for name in sorted(state.groups):
         group = state.groups[name]
         for i in range(len(group.params)):
-            sections.append((f"adam.{name}.{i}.m", _encode_tensor(group.m[i])))
-            sections.append((f"adam.{name}.{i}.v", _encode_tensor(group.v[i])))
-            step = group.step[i]
-            sections.append((f"adam.{name}.{i}.step",
-                             _encode_tensor(step if group.row_state else np.int64(step))))
-    return sections
+            yield f"adam.{name}.{i}.m", group.m[i]
+            yield f"adam.{name}.{i}.v", group.v[i]
+            yield f"adam.{name}.{i}.step", group.step[i]
 
 
 def save_checkpoint(state, path):
-    _write_sections(_checkpoint_sections(state), path)
+    meta = {"T": state.T, "iteration": state.iteration, "anchors": len(state.scaffold),
+            "spatial_lr_scale": state.spatial_lr_scale, "voxel_size": state.scaffold.voxel_size}
+    bits = state.rng.bit_generator.state
+    rng = {"state": str(bits["state"]["state"]), "inc": str(bits["state"]["inc"]),
+           "has_uint32": bits["has_uint32"], "uinteger": bits["uinteger"]}
+    _write_sections([("config", config_to_text(state.config).encode()),
+                     ("meta", json.dumps(meta, sort_keys=True).encode()),
+                     ("rng", json.dumps(rng, sort_keys=True).encode()),
+                     *((name, _encode_tensor(arr)) for name, arr in _tensors(state))], path)
 
 
 def _write_sections(sections, path):
@@ -558,10 +545,10 @@ def _read_sections(path):
 def load_checkpoint(path):
     """Rebuild a TrainState from a checkpoint file.
 
-    A CRC-valid file that lacks a section, holds a malformed one, or holds a
-    meta or rng value of the wrong type or range or a tensor of another
-    shape or dtype than its config and meta imply raises CorruptChecksum,
-    like a file that fails its CRC.
+    A CRC-valid file that lacks a section, holds a malformed one or a config
+    that fails validation, a meta or rng value of the wrong type or range, a
+    tensor of another shape or dtype than its config and meta imply, or a
+    non-finite value raises CorruptChecksum, like a file that fails its CRC.
     """
     sections = _read_sections(path)
 
@@ -587,13 +574,14 @@ def load_checkpoint(path):
         if arr.shape != shape or arr.dtype != dtype:
             raise CorruptChecksum(f"section {name!r} holds {arr.dtype} {arr.shape}, "
                                   f"not {np.dtype(dtype)} {shape}")
+        if not np.isfinite(arr).all():
+            raise CorruptChecksum(f"section {name!r} holds a non-finite value")
         return arr
 
     try:
-        config_text = section("config").decode()
-    except UnicodeDecodeError as exc:
+        config = config_from_text(section("config").decode()).validate()
+    except (UnicodeDecodeError, ConfigInvalid) as exc:
         raise CorruptChecksum(f"malformed section 'config': {exc}") from exc
-    config = config_from_text(config_text).validate()
     meta = json_section("meta", {"T": _int_in(1, math.inf), "iteration": _int_in(0, math.inf),
                                  "anchors": _int_in(0, math.inf),
                                  "spatial_lr_scale": _positive, "voxel_size": _positive})
@@ -607,15 +595,6 @@ def load_checkpoint(path):
         for head in ("opacity", "color", "covariance")})
 
     groups = _build_groups(config, scaffold, global_g, weights, meta["spatial_lr_scale"])
-    for name in sorted(groups):
-        group = groups[name]
-        for i, param in enumerate(group.params):
-            group.m[i] = tensor(f"adam.{name}.{i}.m", param.shape, np.float64)
-            group.v[i] = tensor(f"adam.{name}.{i}.v", param.shape, np.float64)
-            step = tensor(f"adam.{name}.{i}.step",
-                          (len(scaffold),) if group.row_state else (), np.int64)
-            group.step[i] = step if group.row_state else int(step)
-
     rng_meta = json_section("rng", {"state": _u128_text, "inc": _u128_text,
                                     "has_uint32": _int_in(0, 2), "uinteger": _int_in(0, 2**32)})
     rng = np.random.Generator(np.random.PCG64(0))
@@ -625,5 +604,10 @@ def load_checkpoint(path):
         "has_uint32": rng_meta["has_uint32"],
         "uinteger": rng_meta["uinteger"],
     }
-    return TrainState(config, meta["T"], scaffold, global_g, weights, groups, rng,
-                      meta["spatial_lr_scale"], iteration=meta["iteration"])
+    state = TrainState(config, meta["T"], scaffold, global_g, weights, groups, rng,
+                       meta["spatial_lr_scale"], iteration=meta["iteration"])
+    # _build_groups sized the Adam state by the checked parameters; fill it in place.
+    for name, arr in _tensors(state):
+        if name not in params:
+            arr[...] = tensor(name, arr.shape, arr.dtype)
+    return state

@@ -95,6 +95,22 @@ def _set_json(section, key, value):
     return fault
 
 
+def _first_value(value):
+    """An edit for _set_tensor that sets the first element of a copy to value."""
+    def edit(arr):
+        arr = arr.copy()
+        arr.flat[0] = value
+        return arr
+    return edit
+
+
+def _append_config(line):
+    """A fault that appends `line` to the config text; a later key wins."""
+    def fault(sections):
+        sections["config"] += line.encode() + b"\n"
+    return fault
+
+
 # CRC-valid checkpoint faults, each of which must read as CorruptChecksum.
 CHECKPOINT_FAULTS = {
     "missing_section": _drop_global, "unknown_dtype": _unknown_dtype,
@@ -111,4 +127,9 @@ CHECKPOINT_FAULTS = {
     "rng_state_not_decimal": _set_json("rng", "state", "abc"),
     "rng_has_uint32_text": _set_json("rng", "has_uint32", "yes"),
     "rng_has_uint32_two": _set_json("rng", "has_uint32", 2),
+    "shape_scale_nan": _set_tensor("scaffold.shape_scale", _first_value(np.nan)),
+    "global_g_nan": _set_tensor("global.g", _first_value(np.nan)),
+    "adam_v_inf": _set_tensor("adam.f_base.0.v", _first_value(np.inf)),
+    "config_K_zero": _append_config("K=0"),
+    "config_unknown_key": _append_config("fp16=1"),
 }

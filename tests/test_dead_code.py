@@ -29,6 +29,21 @@ def test_every_definition_is_referenced():
     assert unused == []
 
 
+def test_every_constant_is_read():
+    """Every module-level constant of the package (a name bound by a
+    module-level assignment, dunders aside) is read somewhere in the
+    package, as a name or an attribute."""
+    read = {getattr(node, "id", None) or node.attr for tree in TREES.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}:{target.id}" for module, tree in sorted(TREES.items())
+              for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(target, ast.Name) and not target.id.startswith("__")
+              and target.id not in read]
+    assert unread == []
+
+
 def test_every_config_field_is_read():
     """Every TrainConfig field is read as an attribute somewhere in the
     package outside TrainConfig.validate and TrainConfig.desk_preset, so no

@@ -13,7 +13,7 @@ from periodsplat.errors import (ConfigInvalid, CorruptChecksum, EmptyDataset,
                                 InternalError, PeriodSplatError, VersionMismatch)
 from periodsplat.scaffold import ROW_FIELDS, accumulate_stats, apply_keep_mask
 
-from conftest import CHECKPOINT_FAULTS, rewrite_checkpoint
+from conftest import CHECKPOINT_FAULTS, micro_scene, rewrite_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,29 @@ def test_config_stats_end_checked_after_parsing():
     assert tr.config_from_text(old) == tr.TrainConfig(stats_start=100, densify_start=300)
     with pytest.raises(ConfigInvalid, match="stats_end"):
         tr.config_from_text(old.replace("densify_start=300", "densify_start=301"))
+
+
+_CONFIG_KEYS = sorted({*tr._CONFIG_FIELDS, *tr._RETIRED_KEYS})
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["nan", "-inf", "1e400", "-1e400", "1_0", "0", "-0.0", "1", "0.5", "true",
+                     "False", "f64", "", "x", "12345678901234567890", "-98765432109876543210",
+                     "0,0,0", "1,nan,0", "0.5,0.5", "0.1,0.2,0.3,0.4", "1e400,0,0", "1_0,0,1"]),
+    st.integers(-10**20, 10**20).map(str),
+    st.floats().map(repr),
+    st.lists(st.floats(), min_size=1, max_size=4).map(lambda vs: ",".join(map(repr, vs))))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(lines=st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES), max_size=6))
+def test_config_text_fuzz_validates_or_config_invalid(lines):
+    """Config text over every field and retired key, with non-finite, huge,
+    underscored, signed and tuple values, either parses and validates or
+    raises ConfigInvalid; a valid config reads back from its own text."""
+    try:
+        cfg = tr.config_from_text("".join(f"{k}={v}\n" for k, v in lines)).validate()
+    except ConfigInvalid:
+        return
+    assert tr.config_from_text(tr.config_to_text(cfg)) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +402,12 @@ def test_checkpoint_save_load_save_bytes(tiny_dataset, tmp_path):
 def test_checkpoint_tensors_round_trip(tiny_dataset, tmp_path):
     state, path = train_briefly(tiny_dataset, tmp_path)
     loaded = tr.load_checkpoint(path)
-    np.testing.assert_array_equal(loaded.scaffold.positions, state.scaffold.positions)
-    np.testing.assert_array_equal(loaded.scaffold.f_var, state.scaffold.f_var)
-    np.testing.assert_array_equal(loaded.global_g, state.global_g)
-    np.testing.assert_array_equal(loaded.weights.color.W2, state.weights.color.W2)
     assert loaded.iteration == state.iteration
     assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
-    for name, group in state.groups.items():
-        lg = loaded.groups[name]
-        for a, b in zip(group.m, lg.m):
-            np.testing.assert_array_equal(a, b)
-        if group.row_state:
-            np.testing.assert_array_equal(group.step[0], lg.step[0])
-        else:
-            assert group.step == lg.step
+    saved, read = list(tr._tensors(state)), list(tr._tensors(loaded))
+    assert [name for name, _ in saved] == [name for name, _ in read]
+    for (name, a), (_, b) in zip(saved, read):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_checkpoint_render_identical_after_load(tiny_dataset, tmp_path):
@@ -436,7 +451,8 @@ def test_checkpoint_flipped_byte(tiny_dataset, tmp_path):
 def test_checkpoint_with_retired_config_keys(tiny_dataset, tmp_path, capsys):
     """Checkpoints written before the deterministic and dtype fields were
     deleted still hold them in their config text; they load, render and
-    inspect like a current one, while any other unknown key stays an error."""
+    inspect like a current one, while any other unknown key makes the
+    checkpoint corrupt."""
     from periodsplat import cli
 
     state, path = train_briefly(tiny_dataset, tmp_path, iters=0)
@@ -457,7 +473,7 @@ def test_checkpoint_with_retired_config_keys(tiny_dataset, tmp_path, capsys):
     unknown = tmp_path / "unknown.ckpt"
     rewrite_checkpoint(path, unknown,
                        lambda sections: sections.update(config=sections["config"] + b"fp16=1\n"))
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(CorruptChecksum, match="fp16"):
         tr.load_checkpoint(unknown)
 
 
@@ -481,6 +497,27 @@ def test_checkpoint_crc_valid_faults(tiny_dataset, tmp_path, fault):
 def fuzz_checkpoint(tiny_dataset, tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     return train_briefly(tiny_dataset, root, iters=3)[1]
+
+
+def _section_names():
+    """The sections of any checkpoint, in file order, taken from an untrained
+    micro state: they depend on the parameter groups, not on the sizes."""
+    scaffold, weights, global_g = micro_scene(np.random.default_rng(0))
+    config = tr.TrainConfig(d_b=4, d_v=4, d_g=6, K=4, d_f=8)
+    groups = tr._build_groups(config, scaffold, global_g, weights, 1.0)
+    state = tr.TrainState(config, 2, scaffold, global_g, weights, groups, None, 1.0)
+    return ["config", "meta", "rng", *(name for name, _ in tr._tensors(state))]
+
+
+@pytest.mark.parametrize("name", _section_names())
+def test_checkpoint_without_any_one_section(fuzz_checkpoint, name):
+    """Every section a checkpoint holds is one that load reads: dropping any
+    one of them, under a valid CRC, is a corrupt checkpoint."""
+    assert list(tr._read_sections(fuzz_checkpoint)) == _section_names()
+    bad = fuzz_checkpoint.with_name(f"without-{name}.ckpt")
+    rewrite_checkpoint(fuzz_checkpoint, bad, lambda sections: sections.pop(name))
+    with pytest.raises(CorruptChecksum, match=name):
+        tr.load_checkpoint(bad)
 
 
 _FUZZED_SECTIONS = ("config", "meta", "rng", "scaffold.f_var", "scaffold.box_min", "global.g",
