@@ -41,7 +41,12 @@ which carry the opacity, mean and conic gradients, follow per (tile, term)
 pair and are summed into the splats. The gradients then chain through the
 projection, the decoder, and the feature fusion down to every learnable
 tensor. Capped, skipped and stopped terms receive exactly zero gradient, as
-do inactive slots.
+do inactive slots. The backward writes every block-sized temporary (power,
+alpha, scan, weight, g . c, the reverse sums, the masks) into views of six
+float and two bool buffers that it allocates once per pass, sized to the
+plan's largest block, and drops when it returns, so that its blocks reuse
+the same pages instead of faulting fresh ones in; the values are those of
+the same operations on fresh arrays.
 """
 
 from __future__ import annotations
@@ -189,39 +194,51 @@ def _rounds(tile, n_tiles):
     return rounds
 
 
-def _block_alphas(values, bbox, splat, block, nx, use_thresholds):
+def _block_alphas(values, bbox, splat, block, nx, use_thresholds, bufs=None):
     """alpha (L, b, TILE * TILE), not yet capped, of the terms of a block's b
     tiles at their pixels, the chunks padded to the longest with the padding
     term. Each element is computed with the same operations as over one
     splat, so the values do not depend on the blocks. With thresholds on, no
     pixel outside a splat's bbox reaches ALPHA_SKIP (see _footprint_radius_sq)
-    and smaller alphas are zeroed; with them off, alpha is masked to the bbox."""
+    and smaller alphas are zeroed; with them off, alpha is masked to the bbox.
+    bufs, two float64 and one bool flat array of at least L * b * TILE^2
+    cells, receives the power, the cross term and then alpha, and the mask;
+    without it they are allocated."""
     tiles, first, lens = block
     k = np.arange(lens[-1])[:, None]
     s = np.where(k < lens, splat.take(first + k, mode="clip"), values.shape[1] - 1)
+    n = s.size * TILE * TILE
+    if bufs is None:
+        bufs = np.empty(n), np.empty(n), np.empty(n, bool)
+    power, alpha, mask = (buf[:n] for buf in bufs)
     # (TILE, TILE, L * b): the (term, tile) pairs innermost, for long loops.
+    power, cross = power.reshape(TILE, TILE, -1), alpha.reshape(TILE, TILE, -1)
+    alpha, mask = alpha.reshape(s.shape + (-1,)), mask.reshape(s.shape + (-1,))
     mx, my, ax, B, cc, opacity = values[:6, s]
     centres = np.arange(TILE)[:, None] + 0.5
     cx, cy = tiles % nx * TILE + centres, tiles // nx * TILE + centres  # (TILE, b)
     dx = (cx[:, None] - mx).reshape(TILE, -1)
     dy = (cy[:, None] - my).reshape(TILE, -1)
     dx2 = dx * dx
-    alpha = ax.ravel() * dx2 + (cc.ravel() * (dy * dy))[:, None]
-    alpha -= (B.ravel() * dy)[:, None] * dx
-    np.exp(alpha, out=alpha)
-    alpha *= opacity.ravel()
-    alpha = alpha.reshape(TILE * TILE, -1).T.reshape(s.shape + (-1,)).copy()
-    alpha *= (alpha >= ALPHA_SKIP) if use_thresholds else _covers(bbox, s, cx.T, cy.T)
+    np.add(ax.ravel() * dx2, (cc.ravel() * (dy * dy))[:, None], out=power)
+    power -= np.multiply((B.ravel() * dy)[:, None], dx, out=cross)
+    np.exp(power, out=power)
+    power *= opacity.ravel()
+    np.copyto(alpha, power.reshape(TILE * TILE, -1).T.reshape(alpha.shape))
+    alpha *= (np.greater_equal(alpha, ALPHA_SKIP, out=mask) if use_thresholds
+              else _covers(bbox, s, cx.T, cy.T, mask))
     return SimpleNamespace(s=s, alpha=alpha, dx=dx.T.reshape(s.shape + (TILE,)),
                            dx2=dx2.T.reshape(s.shape + (TILE,)), dy=dy.T.reshape(s.shape + (TILE,)))
 
 
-def _covers(bbox, s, cx, cy):
-    """(L, b, TILE * TILE): whether the bbox of term s[l, i] holds the pixel
-    of tile i centred at (cy[i], cx[i])."""
+def _covers(bbox, s, cx, cy, out):
+    """out (L, b, TILE * TILE), set to whether the bbox of term s[l, i] holds
+    the pixel of tile i centred at (cy[i], cx[i])."""
     x0, x1, y0, y1 = bbox[:, s, None]
     inside_x, inside_y = (cx > x0) & (cx < x1 + 1), (cy > y0) & (cy < y1 + 1)
-    return (inside_y[..., None] & inside_x[..., None, :]).reshape(s.shape + (-1,))
+    np.logical_and(inside_y[..., None], inside_x[..., None, :],
+                   out=out.reshape(s.shape + (TILE, TILE)))
+    return out
 
 
 def _open(block, keep):
@@ -229,10 +246,11 @@ def _open(block, keep):
     return block if keep.all() else tuple(a[keep] for a in block) if keep.any() else None
 
 
-def _scan(ahat, t_start):
-    """(L + 1, b, P): t_start, then the transmittance behind each term,
-    multiplied in term order; row j is the transmittance in front of term j."""
-    scan = np.empty((len(ahat) + 1,) + ahat.shape[1:])
+def _scan(ahat, t_start, out=None):
+    """(L + 1, b, P), written into out if given: t_start, then the transmittance
+    behind each term, multiplied in term order; row j is the transmittance in
+    front of term j."""
+    scan = np.empty((len(ahat) + 1,) + ahat.shape[1:]) if out is None else out
     scan[0] = t_start
     np.subtract(1.0, ahat, out=scan[1:])
     return np.multiply.accumulate(scan, axis=0, out=scan)
@@ -309,30 +327,44 @@ def _composite_backward(splats, camera, background, use_thresholds, final_trans,
     # dL/dpower; the exponent is quadratic in (dx, dy), so these carry every
     # opacity, mean and conic gradient. Row M gathers the padding terms.
     sums = np.zeros((M + 1, 12))
+    # The buffers that every block's temporaries are views of: L + 1 rows of
+    # the largest block, for the scans.
+    n = TILE * TILE * max(((lens[-1] + 1) * len(tiles) for blocks in plan.rounds
+                           for tiles, _, lens in blocks), default=0)
+    power_buf, scan_buf, alpha_buf, weight_buf, g_dot_c_buf, rev_buf = np.empty((6, n))
+    skip_buf, stop_buf = np.empty((2, n), bool)
 
     def accumulate(block, carry):
         tiles = block[0]
-        blk = _block_alphas(values, bbox, plan.splat, block, nx, use_thresholds)
-        s, uncapped = blk.s, blk.alpha <= ALPHA_CAP
+        blk = _block_alphas(values, bbox, plan.splat, block, nx, use_thresholds,
+                            (power_buf, alpha_buf, skip_buf))
+        s, (L, b, P) = blk.s, blk.alpha.shape
+
+        def view(buf, rows=L):
+            return buf[:rows * b * P].reshape(rows, b, P)
+
+        uncapped = np.less_equal(blk.alpha, ALPHA_CAP, out=view(skip_buf))
         ahat = np.minimum(blk.alpha, ALPHA_CAP, out=blk.alpha)
-        L, b, P = ahat.shape
         # The forward's scan from the forward's carry: bitwise its t_front.
-        t_front = _scan(ahat, carry[tiles])[:-1]
+        t_front = _scan(ahat, carry[tiles], view(scan_buf, L + 1))[:-1]
         if use_thresholds and (t_front[-1] < STOP_TRANSMITTANCE).any():
-            ahat *= t_front >= STOP_TRANSMITTANCE  # the stopped terms
-        weight = ahat * t_front
+            # the stopped terms
+            ahat *= np.greater_equal(t_front, STOP_TRANSMITTANCE, out=view(stop_buf))
+        weight = np.multiply(ahat, t_front, out=view(weight_buf))
         g = g_tiles[tiles]
-        g_dot_c = (values[6:, s].transpose(1, 2, 0)[:, :, None] @ g.swapaxes(1, 2))[:, :, 0]
+        g_dot_c = np.matmul(values[6:, s].transpose(1, 2, 0)[:, :, None], g.swapaxes(1, 2),
+                            out=view(g_dot_c_buf)[:, :, None])[:, :, 0]
         # rev[k] is g . suffix behind the chunk's last k terms.
-        rev = np.empty((L + 1, b, P))
+        rev = view(rev_buf, L + 1)
         rev[0] = g_suffix[tiles]
         np.multiply(weight[::-1], g_dot_c[::-1], out=rev[1:])
         np.cumsum(rev, axis=0, out=rev)
         g_suffix[tiles] = rev[L]
         # dL/dpower = dL/dalpha * alpha, zero for capped terms (the cap is
         # flat) and for skipped, stopped and padding ones (ahat = 0).
-        g_power = g_dot_c * t_front
-        g_power -= rev[L - 1::-1] / (1.0 - ahat)
+        g_power = np.multiply(g_dot_c, t_front, out=view(power_buf))
+        behind = np.subtract(1.0, ahat, out=view(scan_buf))  # t_front is read no more
+        g_power -= np.divide(rev[L - 1::-1], behind, out=behind)
         g_power *= ahat
         g_power *= uncapped
         ones = np.ones_like(blk.dx)

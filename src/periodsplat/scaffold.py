@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPointCloud
+from .errors import EmptyPointCloud, ParseError
 from .geom import frustum_test_many
 
 # The per-anchor arrays of AnchorScaffold, in checkpoint order.
@@ -116,9 +116,15 @@ def voxelize(points, voxel_size):
 
 def voxel_size_for_points(points, fraction):
     """Cell size as a fraction of the point bounding-box diagonal, taken as
-    1 for a single point or none (voxelize refuses an empty cloud)."""
+    1 for a single point or none (voxelize refuses an empty cloud). A
+    diagonal that overflows is a ParseError of points3D.txt, the one point
+    file a dataset reads."""
     points = np.asarray(points, dtype=np.float64)
-    diag = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0))) if points.size else 0.0
+    with np.errstate(over="ignore"):
+        diag = float(np.linalg.norm(points.max(axis=0) - points.min(axis=0))) if points.size else 0.0
+    if not np.isfinite(diag):
+        raise ParseError("the bounding-box diagonal of the sparse points is not finite",
+                         path="points3D.txt")
     if diag == 0.0:
         diag = 1.0
     return fraction * diag

@@ -35,12 +35,16 @@ import numpy as np
 from . import raster
 from .decoder import DecoderWeights, MlpWeights, init_decoder_weights
 from .errors import (ConfigInvalid, CorruptChecksum, EmptyDataset, InternalError,
-                     IoError, VersionMismatch)
+                     IoError, ParseError, VersionMismatch)
 from .optim import LrSchedule, ParamGroup, adam_step, hybrid_loss, psnr, ssim
 from .scaffold import (ROW_FIELDS, AnchorScaffold, accumulate_stats, apply_keep_mask,
                        grow_anchors, init_scaffold, prune_keep_mask, voxel_size_for_points)
 
 CHECKPOINT_MAGIC = b"CGS1"
+# Ceiling of d_b, d_v, d_g, d_f and K: 16x the largest preset value (d_f = 64).
+# At the ceiling a decoder head's first layer is (3 * 1024 + 3) x 1024 float64,
+# 25 MB; a size past it that fits int64 would try to allocate.
+MAX_SIZE = 1024
 
 
 @dataclass
@@ -72,8 +76,10 @@ class TrainConfig:
     eval_interval: int = 0  # 0 = no mid-training eval
 
     def validate(self):
-        if min(self.d_b, self.d_v, self.d_g, self.d_f, self.K) < 1:
-            raise ConfigInvalid("feature dimensions and K must be positive")
+        sizes = (self.d_b, self.d_v, self.d_g, self.d_f, self.K)
+        if not all(1 <= size <= MAX_SIZE for size in sizes):
+            raise ConfigInvalid(f"feature dimensions d_b, d_v, d_g, d_f and K must lie in "
+                                f"[1, {MAX_SIZE}]")
         if not (0 <= self.densify_start <= self.densify_end <= self.total_iters):
             raise ConfigInvalid(f"need 0 <= densify_start={self.densify_start} <= densify_end="
                                 f"{self.densify_end} <= total_iters={self.total_iters}")
@@ -247,8 +253,11 @@ def init_state(config, dataset):
     scaffold = init_scaffold(dataset.points, voxel, T=dataset.T,
                              d_b=config.d_b, d_v=config.d_v, K=config.K)
 
-    centers = np.stack([cam.center() for cam in dataset.cameras])
-    radius = float(np.linalg.norm(centers - centers.mean(axis=0), axis=1).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        centers = np.stack([cam.center() for cam in dataset.cameras])
+        radius = float(np.linalg.norm(centers - centers.mean(axis=0), axis=1).max())
+    if not math.isfinite(radius):
+        raise ParseError("the spread of the camera centres is not finite", path="images.txt")
     spatial_lr_scale = 1.1 * (radius if radius > 0 else 1.0)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))

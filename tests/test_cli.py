@@ -255,7 +255,7 @@ def _bad_set(item):
 
 _BAD_SETS = ["voxel_fraction=nan", "voxel_fraction=inf", "opacity_bias=nan", "tau_g=nan",
              "min_opacity=nan", "log_interval=-1", "checkpoint_interval=-1", "eval_interval=-1",
-             "seed=-1"]
+             "seed=-1", "d_f=12345678901234567890", "K=1025"]
 
 
 @pytest.mark.parametrize("make_argv,code,named", [
@@ -276,6 +276,10 @@ _BAD_SETS = ["voxel_fraction=nan", "voxel_fraction=inf", "opacity_bias=nan", "ta
     (_bad_data(lambda d: _set_fields(d / "points3D.txt", 2, slice(1, 2), ["nan"])), 3,
      "points3D.txt:2"),
     (_bad_data(_no_points), 3, "no sparse points"),
+    (_bad_data(lambda d: _append(d / "points3D.txt", "1 1e308 1e308 1e308 1 1 1 0")), 3,
+     "points3D.txt"),
+    (_bad_data(lambda d: _set_fields(d / "images.txt", 2, slice(5, 8), ["1e200"] * 3)), 3,
+     "images.txt"),
     (_bad_data(lambda d: _set_fields(d / "images.txt", 4, slice(0, 1), ["1"])), 3,
      "images.txt:4"),
     (_bad_data(lambda d: _set_fields(d / "images.txt", 4, slice(9, 10), ["t0_cam000.ppm"])), 3,
@@ -285,8 +289,8 @@ _BAD_SETS = ["voxel_fraction=nan", "voxel_fraction=inf", "opacity_bias=nan", "ta
     *((_bad_set(item), 2, item.partition("=")[0]) for item in _BAD_SETS),
 ], ids=["opacity", "scale", "width", "orbit-on-target", "points-negative", "width-fraction",
         "no-cameras", "seed-negative", "fx-zero", "fx-nan", "quat-zero", "point-nan",
-        "no-points", "image-id-repeated", "image-name-repeated", "period-repeated",
-        "split-repeated", *(f"set-{item}" for item in _BAD_SETS)])
+        "no-points", "point-extent-overflow", "camera-spread-overflow", "image-id-repeated",
+        "image-name-repeated", "period-repeated", "split-repeated", *(f"set-{item}" for item in _BAD_SETS)])
 def test_non_finite_or_out_of_range_input_exit_code(workspace, tmp_path, make_argv, code,
                                                     named):
     """Out-of-range and non-finite values in a scene spec or a training

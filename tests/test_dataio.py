@@ -1,12 +1,13 @@
 import hashlib
+import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from periodsplat import dataio
-from periodsplat.errors import (NonContiguousPeriods, ParseError, SpecInvalid,
+from periodsplat import dataio, trainer
+from periodsplat.errors import (NonContiguousPeriods, ParseError, PeriodSplatError, SpecInvalid,
                                 UnknownImage, UnsupportedCameraModel, MissingFile)
 from periodsplat.geom import Camera, project_splats, quat_normalize
 
@@ -124,6 +125,53 @@ def write_minimal(tmp_path):
     (tmp_path / "cameras.txt").write_text(MINIMAL_CAMERAS)
     (tmp_path / "images.txt").write_text(MINIMAL_IMAGES)
     (tmp_path / "points3D.txt").write_text(MINIMAL_POINTS)
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0.0", "1", "-1", "2", "7", "0.5", "64", "1e200", "1e308", "-1e308",
+                     "1e400", "nan", "-inf", "1_0", "0x1", "x", "12345678901234567890"]),
+    st.floats().map(repr), st.integers(-10**20, 10**20).map(str))
+# Lines shaped like each file's records, and free token lists for any file.
+_RECORDS = {
+    "points3D.txt": st.tuples(_NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS),
+    "cameras.txt": st.tuples(_NUMBERS, st.sampled_from(["PINHOLE", "SIMPLE_PINHOLE", "OPENCV"]),
+                             _NUMBERS, _NUMBERS, st.lists(_NUMBERS, max_size=5).map(" ".join)),
+    "images.txt": st.tuples(*[_NUMBERS] * 8, st.sampled_from(["1", "2", "9"]),
+                            st.sampled_from(["img0.ppm", "img1.ppm"])),
+}
+_LINES = st.one_of(
+    *(st.tuples(st.just(name), record.map(" ".join)) for name, record in _RECORDS.items()),
+    st.tuples(st.sampled_from(sorted(_RECORDS)),
+              st.lists(st.one_of(_NUMBERS, st.just("PINHOLE")), max_size=11).map(" ".join)))
+_FUZZ_CONFIG = trainer.TrainConfig(d_b=2, d_v=2, d_g=2, K=2, d_f=4)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(lines=st.lists(_LINES, min_size=1, max_size=3))
+@example(lines=[("points3D.txt", "1 1e308 1e308 1e308 1 1 1 0")])
+@example(lines=[("images.txt", "8 1 0 0 0 1e200 1e200 1e200 1 img1.ppm")])
+@example(lines=[("cameras.txt", "2 SIMPLE_PINHOLE 8 8 1e308 4 4"),
+                ("images.txt", "8 0 0 0 1 -1e308 1e308 -1e308 2 img1.ppm")])
+def test_colmap_line_fuzz_loads_or_raises(tmp_path_factory, lines):
+    """Lines appended to the minimal cameras.txt, images.txt and points3D.txt,
+    with non-finite, huge, underscored and malformed fields, either parse and
+    build a model with init_state whose anchors and spatial scale are finite,
+    or raise a PeriodSplatError."""
+    directory = tmp_path_factory.getbasetemp() / "colmap_fuzz"
+    directory.mkdir(exist_ok=True)
+    write_minimal(directory)
+    for name, line in lines:
+        with open(directory / name, "a") as f:
+            f.write(line + ("\n\n" if name == "images.txt" else "\n"))
+    try:
+        cameras, points = dataio.parse_colmap(directory)
+        dataset = dataio.MultiPeriodDataset(cameras=cameras, images={}, points=points, split={},
+                                            T=1)
+        state = trainer.init_state(_FUZZ_CONFIG, dataset)
+    except PeriodSplatError:
+        return
+    assert np.isfinite(state.scaffold.positions).all()
+    assert math.isfinite(state.spatial_lr_scale) and state.spatial_lr_scale > 0
 
 
 def test_parse_minimal_fixture(tmp_path):

@@ -376,6 +376,38 @@ def test_composite_matches_reference_loops(rng, monkeypatch, use_thresholds):
     assert split_lists > 0 and batched_tiles > 0
 
 
+@pytest.mark.parametrize("use_thresholds", [True, False])
+def test_backward_bits_do_not_depend_on_an_earlier_frame(rng, monkeypatch, use_thresholds):
+    """Frame A's compositing backward gives the same bits before and after
+    the forward and backward of a larger frame B with longer tile lists, at
+    the default block budget and at budgets so small that a one-term block
+    exceeds them: each pass sizes its buffers from its own plan, and every
+    cell a block reads was written by that block."""
+    cam_a = identity_camera(width=12, height=10, fx=14.0, fy=14.0, z_offset=2.0)
+    cam_b = identity_camera(width=28, height=20, fx=30.0, fy=30.0, z_offset=2.0)
+    frames = [(project_gaussians(random_gaussians(rng, m), cam, use_thresholds), cam,
+               rng.uniform(0, 1, size=3), rng.normal(size=(cam.height, cam.width, 3)))
+              for m, cam in ((12, cam_a), (90, cam_b))]
+
+    def backward(splats, cam, bg, grad_image):
+        _, trans, plan = raster._composite_forward(splats, cam, bg, use_thresholds)
+        # the (term, tile) pairs of the plan's largest block
+        pairs = max(lens[-1] * len(tiles) for blocks in plan.rounds for tiles, _, lens in blocks)
+        grads = raster._composite_backward(splats, cam, bg, use_thresholds, trans, plan,
+                                           grad_image)
+        return pairs, [g.tobytes() for g in grads]
+
+    default = raster.BLOCK_CELLS
+    for block_cells in (default, 256, 48):
+        monkeypatch.setattr(raster, "BLOCK_CELLS", block_cells)
+        pairs_a, before = backward(*frames[0])
+        pairs_b, _ = backward(*frames[1])
+        assert pairs_b > pairs_a if block_cells == default else pairs_b >= pairs_a
+        if block_cells == 48:
+            assert pairs_a * raster.TILE ** 2 > block_cells
+        assert backward(*frames[0])[1] == before
+
+
 def test_carries_are_the_transmittance_in_front_of_each_round(rng, monkeypatch):
     """One 8x8 tile, one term per round: the carry of round r is bitwise the
     reference's transmittance over the first r splats, the backward fed the
@@ -398,9 +430,9 @@ def test_carries_are_the_transmittance_in_front_of_each_round(rng, monkeypatch):
     monkeypatch.setattr(raster, "BLOCK_CELLS", raster.TILE * raster.TILE)
     composited, block_alphas = [], raster._block_alphas
 
-    def spy(values, bbox, splat, block, nx, use_thresholds):
+    def spy(values, bbox, splat, block, *args):
         composited.append(int(block[1][0]))  # the tile's pair index, which is the round
-        return block_alphas(values, bbox, splat, block, nx, use_thresholds)
+        return block_alphas(values, bbox, splat, block, *args)
 
     monkeypatch.setattr(raster, "_block_alphas", spy)
     image, trans, plan = raster._composite_forward(splats, cam, bg, True)

@@ -1,10 +1,11 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from periodsplat import scaffold as sc
-from periodsplat.errors import EmptyPointCloud
+from periodsplat.errors import EmptyPointCloud, ParseError
 
 from conftest import identity_camera
 from oracles import frustum_test
@@ -88,6 +89,20 @@ def test_init_zero_features_and_scale_init(rng):
     assert not s.f_base.any() and not s.f_var.any() and not s.offsets.any()
     np.testing.assert_array_equal(s.offset_scale, 0.3)
     np.testing.assert_array_equal(s.shape_scale, 0.3)
+
+
+@pytest.mark.parametrize("far", [[1e308, 1e308, 1e308], [1e200, 0.0, 0.0], [-1.7e308, 0.0, 0.0]])
+def test_voxel_size_refuses_an_extent_that_overflows(far):
+    """Finite points whose bounding-box diagonal overflows are a ParseError
+    that names points3D.txt, raised without an overflow warning; a large
+    finite diagonal still gives its fraction."""
+    points = np.array([[0.0, 0.0, 0.0], [1e200, -1.0, 2.0], far])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="points3D.txt"):
+            sc.voxel_size_for_points(points, 0.04)
+    large = np.array([[0.0, 0.0, 0.0], [3e150, 4e150, 0.0]])
+    assert sc.voxel_size_for_points(large, 0.5) == pytest.approx(2.5e150, rel=1e-15)
 
 
 def test_init_all_empty_raises():

@@ -119,7 +119,9 @@ _CONFIG_KEYS = sorted({*tr._CONFIG_FIELDS, *tr._RETIRED_KEYS})
 _CONFIG_VALUES = st.one_of(
     st.sampled_from(["nan", "-inf", "1e400", "-1e400", "1_0", "0", "-0.0", "1", "0.5", "true",
                      "False", "f64", "", "x", "12345678901234567890", "-98765432109876543210",
-                     "0,0,0", "1,nan,0", "0.5,0.5", "0.1,0.2,0.3,0.4", "1e400,0,0", "1_0,0,1"]),
+                     "0,0,0", "1,nan,0", "0.5,0.5", "0.1,0.2,0.3,0.4", "1e400,0,0", "1_0,0,1",
+                     str(tr.MAX_SIZE), str(tr.MAX_SIZE + 1), "9223372036854775807",
+                     "9223372036854775808", "1" + "0" * 40]),
     st.integers(-10**20, 10**20).map(str),
     st.floats().map(repr),
     st.lists(st.floats(), min_size=1, max_size=4).map(lambda vs: ",".join(map(repr, vs))))
@@ -130,12 +132,27 @@ _CONFIG_VALUES = st.one_of(
 def test_config_text_fuzz_validates_or_config_invalid(lines):
     """Config text over every field and retired key, with non-finite, huge,
     underscored, signed and tuple values, either parses and validates or
-    raises ConfigInvalid; a valid config reads back from its own text."""
+    raises ConfigInvalid; a valid config reads back from its own text and
+    has every size within the ceiling."""
     try:
         cfg = tr.config_from_text("".join(f"{k}={v}\n" for k, v in lines)).validate()
     except ConfigInvalid:
         return
     assert tr.config_from_text(tr.config_to_text(cfg)) == cfg
+    assert max(cfg.d_b, cfg.d_v, cfg.d_g, cfg.d_f, cfg.K) <= tr.MAX_SIZE
+
+
+@pytest.mark.parametrize("key", ["d_b", "d_v", "d_g", "d_f", "K"])
+def test_sizes_have_a_ceiling(key):
+    """Each feature dimension and K validates from 1 up to MAX_SIZE, far
+    above every preset, and is ConfigInvalid outside, also where the value
+    does not fit int64."""
+    for size in (1, tr.MAX_SIZE):
+        tr.TrainConfig(**{key: size}).validate()
+    for size in (0, tr.MAX_SIZE + 1, 12345678901234567890):
+        with pytest.raises(ConfigInvalid, match=key):
+            tr.TrainConfig(**{key: size}).validate()
+    assert tr.MAX_SIZE >= 16 * max(tr.TrainConfig().d_f, tr.TrainConfig().K)
 
 
 # ---------------------------------------------------------------------------
