@@ -88,7 +88,7 @@ def cmd_generate(args):
 
 def cmd_train(args):
     from .dataio import load_dataset
-    from .trainer import TrainConfig, config_from_text, train
+    from .trainer import TrainConfig, config_from_text, init_state, train
     if args.preset == "desk":
         config = TrainConfig.desk_preset()
     else:
@@ -102,18 +102,15 @@ def cmd_train(args):
     for item in args.set:
         if "=" not in item:
             raise _UsageError(f"--set expects KEY=VALUE, got {item!r}")
-    # One parse, so that cross-key checks see the overrides too.
-    config = config_from_text("\n".join([text, *args.set]), base=config)
-    for name in args.ablate:
-        from dataclasses import replace
-        config = replace(config, **{f"disable_{name}": True})
-    config.validate()
+    # One parse, so that cross-key checks see the overrides too; the last value wins.
+    ablated = [f"disable_{name}=true" for name in args.ablate]
+    config = config_from_text("\n".join([text, *args.set, *ablated]), base=config).validate()
 
     dataset = load_dataset(args.data)
     log_path = args.log or f"{args.out}.log.jsonl"
     print(f"training {config.total_iters} iterations on {len(dataset.train_cameras())} views",
           file=sys.stderr)
-    state = train(config, dataset, out_path=args.out, log_path=log_path)
+    state = train(init_state(config, dataset), dataset, out_path=args.out, log_path=log_path)
     print(f"final scaffold: {len(state.scaffold)} anchors; checkpoint: {args.out}",
           file=sys.stderr)
     return 0
@@ -158,7 +155,7 @@ def _resolve_camera(spec, data_dir):
             rotation=quat_normalize(np.asarray(pose["rotation"], dtype=np.float64)),
             translation=np.asarray(pose["translation"], dtype=np.float64),
             period=int(pose.get("period", 0)), image_name=pose.get("image_name", "pose"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # JSON reads 1e400 as inf
         raise _UsageError(f"camera pose file {spec}: {exc}") from exc
 
 

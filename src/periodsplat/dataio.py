@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (EmptyDataset, IoError, MissingFile, NonContiguousPeriods, ParseError,
                      SpecInvalid, UnknownImage, UnsupportedCameraModel)
-from .geom import Camera, Gaussian3D, quat_normalize, rotmat_to_quat
+from .geom import MAX_PIXELS, Camera, Gaussian3D, quat_normalize, rotmat_to_quat
 from .raster import render_gaussians
 
 FLOAT_FMT = "%.17g"
@@ -90,16 +90,21 @@ def write_ppm(path, image):
 # ---------------------------------------------------------------------------
 # COLMAP text files
 
-def _data_lines(path):
-    """Yield (line_number, stripped_line) for non-comment, non-blank lines."""
+def _lines(path):
+    """Yield (line_number, stripped_line) for every line of a UTF-8 text file."""
     try:
-        with open(path, "r") as f:
+        with open(path, "r", encoding="utf-8") as f:
             for i, line in enumerate(f, start=1):
-                stripped = line.strip()
-                if stripped and not stripped.startswith("#"):
-                    yield i, stripped
+                yield i, line.strip()
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", path=path) from exc
+
+
+def _data_lines(path):
+    """Yield (line_number, stripped_line) for non-comment, non-blank lines."""
+    return ((i, line) for i, line in _lines(path) if line and not line.startswith("#"))
 
 
 def _require(path):
@@ -154,13 +159,7 @@ def read_cameras(directory):
     cameras = []
     seen_ids, seen_names = set(), set()
     expect_pose = True
-    try:
-        with open(img_path, "r") as f:
-            raw_lines = f.readlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    for ln, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
+    for ln, line in _lines(img_path):
         if line.startswith("#"):
             continue
         if not expect_pose:
@@ -375,6 +374,9 @@ class SyntheticSceneSpec:
                 raise SpecInvalid(f"{name} must be an integer, got {value!r}")
             if value < minimum:
                 raise SpecInvalid(f"{name} must be at least {minimum}, got {value}")
+        if self.width * self.height > MAX_PIXELS:
+            raise SpecInvalid(f"width x height = {self.width}x{self.height} exceeds "
+                              f"MAX_PIXELS={MAX_PIXELS}")
         if self.target is None:
             self.target = np.zeros(3)
         self.target = np.asarray(self.target, dtype=np.float64)

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -26,14 +27,21 @@ COV_DILATION = 0.3
 # View-space x/z and y/z are clamped to this multiple of the frustum
 # half-tangent before the projection Jacobian is evaluated.
 JACOBIAN_CLAMP = 1.3
+# Ceiling of a camera's width * height (4096 x 4096): a render allocates
+# several float64 arrays of this many pixels.
+MAX_PIXELS = 1 << 24
 
 
 def quat_normalize(q):
+    """q / |q|. Where the largest |component| lies outside [1e-150, 1e150],
+    q.q would overflow or underflow, so q is divided by that component first."""
     q = np.asarray(q, dtype=np.float64)
-    norm = np.sqrt(q.dot(q))  # np.linalg.norm's arithmetic, without its call overhead
-    if not 0 < norm < np.inf:
+    scale = max(map(abs, q.tolist()))  # a NaN it misses makes the norm NaN
+    p = q / scale if 0 < scale < math.inf and not 1e-150 <= scale <= 1e150 else q
+    norm = math.sqrt(p.dot(p)) if scale < math.inf else math.inf  # np.linalg.norm's bits
+    if not 0 < norm < math.inf:
         raise ValueError(f"quaternion {q.tolist()} has no finite nonzero norm")
-    return q / norm
+    return p / norm
 
 
 def quat_to_rotmat(q):
@@ -135,6 +143,9 @@ class Camera:
         self.translation = np.asarray(self.translation, dtype=np.float64)
         if not (self.width >= 1 and self.height >= 1):
             raise ValueError("camera image size must be at least 1x1")
+        if self.width * self.height > MAX_PIXELS:
+            raise ValueError(f"camera image size {self.width}x{self.height} exceeds "
+                             f"MAX_PIXELS={MAX_PIXELS}")
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
             raise ValueError("focal lengths must be positive and finite")
         if not np.isfinite([self.cx, self.cy, *self.translation]).all():

@@ -274,11 +274,6 @@ def _stats_enabled(config, iteration):
     return config.stats_start <= iteration <= config.densify_end
 
 
-def _densify_due(config, iteration):
-    return (config.densify_start <= iteration <= config.densify_end
-            and (iteration - config.densify_start) % config.densify_interval == 0)
-
-
 def render_from_state(state, camera, t):
     return raster.render(
         state.scaffold, camera, t, state.weights, state.global_g,
@@ -334,11 +329,19 @@ def densify(state):
     return added, removed
 
 
-def _next_camera(state, dataset):
+def train_iteration(state, dataset):
+    """The next camera of the epoch, a training step on it, and densify when
+    due: one iteration of the schedule. Returns (report, densify's result or None)."""
+    cfg, it = state.config, state.iteration
     cams = dataset.train_cameras()
     if not state._epoch_queue:
         state._epoch_queue = list(state.rng.permutation(len(cams)))
-    return cams[state._epoch_queue.pop()]
+    cam = cams[state._epoch_queue.pop()]
+    report = training_step(state, cam, dataset.images[cam.id])
+    if (cfg.densify_start <= it <= cfg.densify_end
+            and (it - cfg.densify_start) % cfg.densify_interval == 0):
+        return report, densify(state)
+    return report, None
 
 
 def evaluate(state, dataset):
@@ -363,13 +366,13 @@ def evaluate(state, dataset):
     return summary
 
 
-def train(config, dataset, out_path=None, log_path=None):
-    """Run the full training schedule; returns the final TrainState.
+def train(state, dataset, out_path=None, log_path=None):
+    """Train state from its iteration up to its config's total_iters; returns it.
 
     Writes a checkpoint to out_path (and every checkpoint_interval
     iterations) and appends line-delimited JSON metric records to log_path.
     """
-    state = init_state(config, dataset)
+    config = state.config
     log_file = open(log_path, "w") if log_path else None
     # A dataset without test views has nothing to evaluate.
     evaluates = bool(dataset.test_cameras())
@@ -379,12 +382,9 @@ def train(config, dataset, out_path=None, log_path=None):
             log_file.write(json.dumps(record, sort_keys=True) + "\n")
 
     try:
-        for it in range(config.total_iters):
-            cam = _next_camera(state, dataset)
-            report = training_step(state, cam, dataset.images[cam.id])
-            densified = None
-            if _densify_due(config, it):
-                densified = densify(state)
+        while state.iteration < config.total_iters:
+            it = state.iteration
+            report, densified = train_iteration(state, dataset)
             if config.log_interval and (it % config.log_interval == 0 or densified):
                 record = {"iter": it, "total": report.total, "l1": report.l1,
                           "ssim": report.ssim, "anchors": len(state.scaffold)}
@@ -396,7 +396,7 @@ def train(config, dataset, out_path=None, log_path=None):
             if out_path and config.checkpoint_interval and it and it % config.checkpoint_interval == 0:
                 save_checkpoint(state, out_path)
         if evaluates and log_file:
-            log({"iter": config.total_iters, "eval": evaluate(state, dataset)})
+            log({"iter": state.iteration, "eval": evaluate(state, dataset)})
         if out_path:
             save_checkpoint(state, out_path)
     finally:

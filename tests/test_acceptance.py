@@ -19,10 +19,9 @@ import pytest
 from periodsplat import geom, raster, temporal
 from periodsplat.dataio import generate_synthetic, spec_from_json
 from periodsplat.optim import hybrid_loss, l1_loss, psnr, ssim
-from periodsplat.trainer import (TrainConfig, _densify_due, _next_camera, densify,
-                                 evaluate, init_state, load_checkpoint,
+from periodsplat.trainer import (TrainConfig, evaluate, init_state, load_checkpoint,
                                  render_from_state, save_checkpoint, train,
-                                 training_step)
+                                 train_iteration)
 
 from conftest import identity_camera, micro_scene
 from oracles import naive_composite_image, pinhole_oracle, psnr_oracle, ssim_oracle
@@ -40,32 +39,22 @@ def report(criterion, passed, detail):
 # ---------------------------------------------------------------------------
 # shared end-to-end artifacts
 
+def train_e2e(dataset, **flags):
+    """The first E2E_ITERS iterations of the desk schedule (seed 1)."""
+    state = init_state(TrainConfig.desk_preset(seed=1, log_interval=0, **flags), dataset)
+    for _ in range(E2E_ITERS):
+        train_iteration(state, dataset)
+    return state
+
+
 @pytest.fixture(scope="module")
 def e2e(tmp_path_factory):
     """Generate the two-period scene and train the full model once."""
     spec = spec_from_json(SCENE_SPEC_PATH)
     dataset = generate_synthetic(spec, tmp_path_factory.mktemp("scene") / "data")
-    cfg = TrainConfig.desk_preset(seed=1, log_interval=0)
     t0 = time.time()
-    state = init_state(cfg, dataset)
-    for it in range(E2E_ITERS):
-        cam = _next_camera(state, dataset)
-        training_step(state, cam, dataset.images[cam.id])
-        if _densify_due(cfg, it):
-            densify(state)
-    wall = time.time() - t0
-    return spec, dataset, state, wall
-
-
-def train_ablated(dataset, **flags):
-    cfg = TrainConfig.desk_preset(seed=1, log_interval=0, **flags)
-    state = init_state(cfg, dataset)
-    for it in range(E2E_ITERS):
-        cam = _next_camera(state, dataset)
-        training_step(state, cam, dataset.images[cam.id])
-        if _densify_due(cfg, it):
-            densify(state)
-    return state
+    state = train_e2e(dataset)
+    return spec, dataset, state, time.time() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +330,7 @@ def test_criterion_7_ablation_ordering(e2e):
         ("w/o global", {"disable_global": True}),
         ("w/o var&global", {"disable_var": True, "disable_global": True}),
     ):
-        ablated = train_ablated(dataset, **flags)
+        ablated = train_e2e(dataset, **flags)
         margins[name] = full - evaluate(ablated, dataset)["psnr_mean"]
     ok = all(m >= 0.3 for m in margins.values())
     report(7, ok, "full leads by " + ", ".join(
@@ -379,8 +368,8 @@ def test_criterion_9_determinism_persistence(tmp_path):
         densify_start=15, densify_end=40, densify_interval=10,
         voxel_fraction=0.06, seed=9, log_interval=0)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(train(cfg, dataset), p1)
-    save_checkpoint(train(cfg, dataset), p2)
+    train(init_state(cfg, dataset), dataset, out_path=p1)
+    train(init_state(cfg, dataset), dataset, out_path=p2)
     runs_identical = p1.read_bytes() == p2.read_bytes()
 
     loaded = load_checkpoint(p1)

@@ -114,12 +114,13 @@ def test_train_stats_end_checked_against_set_overrides(workspace, tmp_path, caps
 
 
 def test_train_ablation_flags(workspace, tmp_path):
+    """--ablate NAME sets disable_NAME after every --set, so it wins over one."""
     _, _, data_dir, _, config = workspace
     out = tmp_path / "ablate.ckpt"
     code = cli.main(["train", "--data", str(data_dir), "--out", str(out),
                      "--config", str(config), "--set", "total_iters=10",
                      "--set", "densify_end=10", "--set", "densify_start=6",
-                     "--ablate", "var", "--ablate", "global"])
+                     "--set", "disable_var=false", "--ablate", "var", "--ablate", "global"])
     assert code == 0
     from periodsplat.trainer import load_checkpoint
     state = load_checkpoint(out)
@@ -234,14 +235,29 @@ def _bad_spec(edit):
     return argv
 
 
-def _bad_data(edit):
+def _bad_data(edit, render=False):
     def argv(workspace, tmp_path):
-        _, _, data_dir, _, config = workspace
+        _, _, data_dir, ckpt, config = workspace
         data = tmp_path / "data"
         shutil.copytree(data_dir, data)
         edit(data)
+        if render:
+            return ["render", "--ckpt", str(ckpt), "--camera", "1", "--data", str(data),
+                    "--time", "0", "--out", str(tmp_path / "x.ppm")]
         return ["train", "--data", str(data), "--out", str(tmp_path / "x.ckpt"),
                 "--config", str(config), "--set", "total_iters=20", "--set", "densify_end=20"]
+    return argv
+
+
+def _bad_pose(**raw):
+    """render from _POSE with the given keys set to the given JSON text."""
+    def argv(workspace, tmp_path):
+        _, _, _, ckpt, _ = workspace
+        items = {**{key: json.dumps(value) for key, value in _POSE.items()}, **raw}
+        pose = tmp_path / "pose.json"
+        pose.write_text("{" + ", ".join(f'"{key}": {text}' for key, text in items.items()) + "}")
+        return ["render", "--ckpt", str(ckpt), "--camera", str(pose), "--time", "0",
+                "--out", str(tmp_path / "x.ppm")]
     return argv
 
 
@@ -267,6 +283,11 @@ _BAD_SETS = ["voxel_fraction=nan", "voxel_fraction=inf", "opacity_bias=nan", "ta
     (_bad_spec(lambda s: s.update(width=16.5)), 2, "width"),
     (_bad_spec(lambda s: s.update(cams_per_period=0)), 2, "cams_per_period"),
     (_bad_spec(lambda s: s.update(seed=-1)), 2, "seed"),
+    (_bad_spec(lambda s: s.update(width=10**9, height=10**9)), 2, "1000000000x1000000000"),
+    (_bad_pose(width="1000000000", height="1000000000"), 2, "1000000000x1000000000"),
+    (_bad_pose(width="1e400"), 2, "infinity"),
+    (_bad_data(lambda d: _set_fields(d / "cameras.txt", 2, slice(2, 4), ["1000000000"] * 2),
+               render=True), 3, "1000000000x1000000000"),
     (_bad_data(lambda d: _set_fields(d / "cameras.txt", 2, slice(4, 5), ["0"])), 3,
      "cameras.txt:2"),
     (_bad_data(lambda d: _set_fields(d / "cameras.txt", 2, slice(4, 5), ["nan"])), 3,
@@ -288,7 +309,8 @@ _BAD_SETS = ["voxel_fraction=nan", "voxel_fraction=inf", "opacity_bias=nan", "ta
     (_bad_data(lambda d: _append(d / "split.txt", "t0_cam000.ppm test")), 3, "split.txt:17"),
     *((_bad_set(item), 2, item.partition("=")[0]) for item in _BAD_SETS),
 ], ids=["opacity", "scale", "width", "orbit-on-target", "points-negative", "width-fraction",
-        "no-cameras", "seed-negative", "fx-zero", "fx-nan", "quat-zero", "point-nan",
+        "no-cameras", "seed-negative", "spec-too-large", "pose-too-large", "pose-width-overflow",
+        "camera-too-large", "fx-zero", "fx-nan", "quat-zero", "point-nan",
         "no-points", "point-extent-overflow", "camera-spread-overflow", "image-id-repeated",
         "image-name-repeated", "period-repeated", "split-repeated", *(f"set-{item}" for item in _BAD_SETS)])
 def test_non_finite_or_out_of_range_input_exit_code(workspace, tmp_path, make_argv, code,

@@ -300,6 +300,48 @@ def test_manifest_faults(tmp_path, manifest, text, error, line):
             assert "'img1.ppm' has no entry" in str(err.value)
 
 
+@pytest.fixture(scope="module")
+def manifest_scene(tmp_path_factory):
+    """A generated four-view scene and the bytes of its two manifests."""
+    directory = tmp_path_factory.mktemp("manifest_fuzz")
+    dataio.generate_synthetic(single_blob_spec(T=2, cams=2), directory)
+    return directory, {name: (directory / name).read_bytes() for name in MANIFESTS}
+
+
+_MANIFEST_TOKENS = st.one_of(_NUMBERS, st.sampled_from(
+    ["t0_cam000.ppm", "t1_cam001.ppm", "ghost.ppm", "#", "train", "test", "val", "0", "1", "2"]))
+# Lines shaped like a manifest record, free token lists, and raw bytes.
+_MANIFEST_LINES = st.tuples(
+    st.sampled_from(sorted(MANIFESTS)),
+    st.one_of(st.tuples(_MANIFEST_TOKENS, _MANIFEST_TOKENS).map(" ".join).map(str.encode),
+              st.lists(_MANIFEST_TOKENS, max_size=4).map(" ".join).map(str.encode),
+              st.binary(max_size=12)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(drop=st.integers(0, 2), lines=st.lists(_MANIFEST_LINES, min_size=1, max_size=3))
+@example(drop=0, lines=[("periods.txt", b"t0_cam000.ppm \xff")])
+@example(drop=1, lines=[("split.txt", b"t1_cam001.ppm test")])
+def test_manifest_line_fuzz_loads_or_raises(manifest_scene, drop, lines):
+    """Lines appended to periods.txt and split.txt of a generated scene, after
+    dropping up to two of their last lines, either load into a dataset whose
+    periods are 0..T-1 and whose split is train or test, or raise a
+    PeriodSplatError."""
+    directory, manifests = manifest_scene
+    for name, text in manifests.items():
+        kept = text.splitlines(keepends=True)
+        (directory / name).write_bytes(b"".join(kept[:len(kept) - drop]))
+    for name, line in lines:
+        with open(directory / name, "ab") as f:
+            f.write(line + b"\n")
+    try:
+        dataset = dataio.load_dataset(directory)
+    except PeriodSplatError:
+        return
+    assert {cam.period for cam in dataset.cameras} == set(range(dataset.T))
+    assert set(dataset.split.values()) <= {"train", "test"}
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 

@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from periodsplat import geom, raster
 
@@ -49,6 +52,24 @@ def test_rotmat_quat_round_trip(rng):
             q = -q
         back = geom.rotmat_to_quat(geom.quat_to_rotmat(q))
         np.testing.assert_allclose(back, q, atol=1e-9)
+
+
+def test_quat_normalize_extreme_magnitudes(rng):
+    """A quaternion whose q.q overflows or underflows keeps its direction,
+    zero and non-finite ones are refused, neither with a warning, and an
+    ordinary one normalizes bitwise as q / sqrt(q.q)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q, unit in (((1e200, 0, 0, 0), (1, 0, 0, 0)), ((1e-200, 0, 0, 0), (1, 0, 0, 0)),
+                        ((1e200, 1e200, 0, 0), (0.5 ** 0.5, 0.5 ** 0.5, 0, 0)),
+                        ((0, -3e-300, 4e-300, 0), (0, -0.6, 0.8, 0))):
+            np.testing.assert_allclose(geom.quat_normalize(q), unit, rtol=1e-15, atol=0)
+        for q in ((0, 0, 0, 0), (np.inf, 0, 0, 0), (1e200, np.inf, 0, 0), (1, np.nan, 0, 0),
+                  (np.nan, 1e200, 0, 0), (1e-200, np.nan, 0, 0)):
+            with pytest.raises(ValueError, match="no finite nonzero norm"):
+                geom.quat_normalize(q)
+    q = rng.normal(size=4)
+    assert geom.quat_normalize(q).tobytes() == (q / np.sqrt(q.dot(q))).tobytes()
 
 
 def test_project_mean_on_axis():

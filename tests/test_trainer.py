@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -159,13 +160,12 @@ def test_sizes_have_a_ceiling(key):
 # training loop
 
 def test_train_zero_iters_checkpoint_equals_init(tiny_dataset, tmp_path):
-    cfg = tiny_config(total_iters=0, stats_start=0, densify_start=0, densify_end=0)
-    state = tr.train(cfg, tiny_dataset, out_path=tmp_path / "a.ckpt")
-    fresh = tr.init_state(cfg, tiny_dataset)
+    state, path = train_briefly(tiny_dataset, tmp_path, iters=0)
+    fresh = tr.init_state(state.config, tiny_dataset)
     assert state.iteration == 0
     np.testing.assert_array_equal(state.scaffold.f_base, fresh.scaffold.f_base)
     np.testing.assert_array_equal(state.weights.opacity.W1, fresh.weights.opacity.W1)
-    loaded = tr.load_checkpoint(tmp_path / "a.ckpt")
+    loaded = tr.load_checkpoint(path)
     np.testing.assert_array_equal(loaded.scaffold.positions, fresh.scaffold.positions)
 
 
@@ -183,16 +183,11 @@ def test_training_loss_decreases(tiny_dataset):
     assert all(a > b for a, b in zip(windows, windows[1:]))
 
 
-def test_phase_discipline_anchor_counts(tiny_dataset):
-    cfg = tiny_config(total_iters=40)
-    state = tr.init_state(cfg, tiny_dataset)
-    counts = []
-    for it in range(cfg.total_iters):
-        cam = tr._next_camera(state, tiny_dataset)
-        tr.training_step(state, cam, tiny_dataset.images[cam.id])
-        if tr._densify_due(cfg, it):
-            tr.densify(state)
-        counts.append(len(state.scaffold))
+def test_phase_discipline_anchor_counts(tiny_dataset, tmp_path):
+    cfg = tiny_config()
+    counts = [r["anchors"] for r in train_logged(tiny_dataset, tmp_path, log_interval=1)
+              if "anchors" in r]
+    assert len(counts) == cfg.total_iters
     # counts may only change at densify events within [start, end]
     for it in range(1, cfg.total_iters):
         if counts[it] != counts[it - 1]:
@@ -203,9 +198,8 @@ def test_phase_discipline_anchor_counts(tiny_dataset):
 def test_ablate_var_and_global_time_independent(tiny_dataset):
     cfg = tiny_config(disable_var=True, disable_global=True)
     state = tr.init_state(cfg, tiny_dataset)
-    for it in range(10):
-        cam = tr._next_camera(state, tiny_dataset)
-        tr.training_step(state, cam, tiny_dataset.images[cam.id])
+    for _ in range(10):
+        tr.train_iteration(state, tiny_dataset)
     cam = tiny_dataset.test_cameras()[0]
     img0 = tr.render_from_state(state, cam, 0).image
     img1 = tr.render_from_state(state, cam, 1).image
@@ -215,9 +209,10 @@ def test_ablate_var_and_global_time_independent(tiny_dataset):
 @pytest.mark.parametrize("component", [0, 1, 2], ids=["base", "var", "global"])
 def test_ablate_base_still_trains(tiny_dataset, component):
     """An ablated component starts at zero and no Adam step touches it: after
-    training through one forced growth, its array (the grown row included),
-    its Adam state and its block of the decoder input are all zero, while
-    the other components train."""
+    training through one forced growth and the scheduled densify event at
+    iteration 15, its array (the grown rows included), its Adam state and
+    its block of the decoder input are all zero, while the other components
+    train."""
     flag = ("disable_base", "disable_var", "disable_global")[component]
     cfg = tiny_config(**{flag: True})
     state = tr.init_state(cfg, tiny_dataset)
@@ -225,9 +220,7 @@ def test_ablate_base_still_trains(tiny_dataset, component):
 
     def train(iterations):
         for _ in range(iterations):
-            cam = tr._next_camera(state, tiny_dataset)
-            report = tr.training_step(state, cam, tiny_dataset.images[cam.id])
-            assert np.isfinite(report.total)
+            assert np.isfinite(tr.train_iteration(state, tiny_dataset)[0].total)
 
     train(10)
     # Slot 0 of anchor 0 is hot and decodes two cells beyond the largest x of
@@ -404,8 +397,15 @@ def test_empty_dataset_rejected(tiny_dataset):
 def train_briefly(tiny_dataset, tmp_path, name="ck", iters=25, **over):
     cfg = tiny_config(total_iters=iters, **over)
     path = tmp_path / f"{name}.ckpt"
-    state = tr.train(cfg, tiny_dataset, out_path=path)
+    state = tr.train(tr.init_state(cfg, tiny_dataset), tiny_dataset, out_path=path)
     return state, path
+
+
+def train_logged(tiny_dataset, tmp_path, name="log", **over):
+    """The JSONL log records of a tiny_config run."""
+    log_path = tmp_path / f"{name}.jsonl"
+    tr.train(tr.init_state(tiny_config(**over), tiny_dataset), tiny_dataset, log_path=log_path)
+    return [json.loads(line) for line in log_path.read_text().splitlines()]
 
 
 def test_checkpoint_save_load_save_bytes(tiny_dataset, tmp_path):
@@ -593,15 +593,9 @@ def test_checkpoint_interval_saves_mid_run(tiny_dataset, tmp_path, monkeypatch):
 def test_eval_interval_logs_mid_run_evals(tiny_dataset, tmp_path):
     """eval_interval=5 adds eval records at iterations 5, 10 and 15 to the
     final one, and leaves every training loss unchanged."""
-    import json
-
-    def run(name, **over):
-        log_path = tmp_path / f"{name}.jsonl"
-        tr.train(tiny_config(total_iters=20, log_interval=1, **over), tiny_dataset,
-                 log_path=log_path)
-        return [json.loads(line) for line in log_path.read_text().splitlines()]
-
-    plain, evaluated = run("plain"), run("evaluated", eval_interval=5)
+    plain = train_logged(tiny_dataset, tmp_path, "plain", total_iters=20, log_interval=1)
+    evaluated = train_logged(tiny_dataset, tmp_path, "evaluated", total_iters=20,
+                             log_interval=1, eval_interval=5)
     assert [r["iter"] for r in evaluated if "eval" in r] == [5, 10, 15, 20]
     assert [r["iter"] for r in plain if "eval" in r] == [20]
     losses = [r for r in plain if "total" in r]
@@ -609,11 +603,7 @@ def test_eval_interval_logs_mid_run_evals(tiny_dataset, tmp_path):
 
 
 def test_metric_log_records(tiny_dataset, tmp_path):
-    import json
-    cfg = tiny_config(total_iters=20, log_interval=5)
-    log_path = tmp_path / "log.jsonl"
-    tr.train(cfg, tiny_dataset, log_path=log_path)
-    records = [json.loads(line) for line in log_path.read_text().splitlines()]
+    records = train_logged(tiny_dataset, tmp_path, total_iters=20, log_interval=5)
     assert records
     iter_records = [r for r in records if "total" in r]
     assert {"iter", "total", "l1", "ssim", "anchors"} <= set(iter_records[0])
